@@ -10,7 +10,7 @@ flips among executed cycles.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Sequence
@@ -39,9 +39,6 @@ class FeatureVector:
              self.distance, self.change_in_status],
             dtype=np.float64,
         )
-
-    def with_label(self, label: float) -> "FeatureVector":
-        return replace(self, label_priority=label)
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,22 @@ def _encode_last_run_clipped(ts: datetime | None, bounds: FeatureBounds) -> floa
     return float(min(1.0, max(0.0, x)))
 
 
+def _last_run_column(last_run: Sequence[datetime | None], bounds: FeatureBounds) -> np.ndarray:
+    """_encode_last_run_clipped of every timestamp, with the same arithmetic."""
+    out = np.zeros(len(last_run))
+    earliest, latest = bounds.lastrun_earliest, bounds.lastrun_latest
+    if earliest is None or latest is None:
+        return out
+    seen = np.array([ts is not None for ts in last_run], dtype=bool)
+    if earliest == latest:
+        out[seen] = 0.5
+        return out
+    span = (latest - earliest).total_seconds()
+    elapsed = np.array([(ts - earliest).total_seconds() for ts in last_run if ts is not None])
+    out[seen] = np.clip(elapsed / span, 0.0, 1.0)
+    return out
+
+
 def distance(window: Sequence[int]) -> int:
     """Absolute swing between the oldest and newest raw status code."""
     if len(window) == 0:
@@ -114,41 +127,81 @@ def change_in_status(window: Sequence[int]) -> int:
     return sum(1 for a, b in zip(executed, executed[1:]) if a == PASS and b == FAIL)
 
 
+class FeatureSet(Sequence[FeatureVector]):
+    """Feature vectors held as arrays: row ``i`` of ``X`` (``stack``'s
+    layout), ``test_ids[i]`` and, once labeled, ``labels[i]``.
+
+    Read-only. Indexing or iterating builds FeatureVector objects on demand;
+    ``stack`` hands the arrays over without building any.
+    """
+
+    def __init__(self, X: np.ndarray, test_ids: Sequence, labels: np.ndarray | None = None):
+        self.X = X
+        self.test_ids = tuple(test_ids)
+        self.labels = labels
+        for array in (X, labels):
+            if array is not None:
+                array.flags.writeable = False
+
+    @classmethod
+    def concat(cls, sets: Sequence["FeatureSet"]) -> "FeatureSet":
+        """One set of every row of ``sets``, in order."""
+        labels = None
+        if all(s.labels is not None for s in sets):
+            labels = np.concatenate([s.labels for s in sets])
+        return cls(np.concatenate([s.X for s in sets]),
+                   [tid for s in sets for tid in s.test_ids], labels)
+
+    def with_labels(self, labels: np.ndarray) -> "FeatureSet":
+        return FeatureSet(self.X, self.test_ids, labels)
+
+    def __len__(self) -> int:
+        return len(self.test_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FeatureSet(self.X[i], self.test_ids[i],
+                              None if self.labels is None else self.labels[i])
+        label = None if self.labels is None else float(self.labels[i])
+        return self._vector(self.test_ids[i], self.X[i].tolist(), label)
+
+    def __iter__(self):
+        labels = [None] * len(self) if self.labels is None else self.labels.tolist()
+        for tid, row, label in zip(self.test_ids, self.X.tolist(), labels):
+            yield self._vector(tid, row, label)
+
+    def _vector(self, tid, row: list, label: float | None) -> FeatureVector:
+        w = len(row) - DERIVED_FEATURES
+        return FeatureVector(
+            test_id=tid,
+            es_window=tuple(int(s) for s in row[:w]),
+            duration_norm=row[w],
+            last_run_norm=row[w + 1],
+            distance=int(row[w + 2]),
+            change_in_status=int(row[w + 3]),
+            label_priority=label,
+        )
+
+
 def extract(
     matrix: StatusMatrix,
     bounds: FeatureBounds | None = None,
     expected_window: int = DEFAULT_WINDOW,
-) -> list[FeatureVector]:
-    """One unlabeled FeatureVector per matrix row, order preserved.
+) -> FeatureSet:
+    """One unlabeled feature vector per matrix row, order preserved.
 
     Normalizer bounds default to suite-relative min/max over the same
     matrix; pass persisted bounds to reproduce training-time scaling at
     prediction time (out-of-range values are clipped into [0,1]).
     """
-    if matrix.window_len != expected_window:
-        raise WindowLenMismatch(matrix.window_len, expected_window)
-    if bounds is None:
-        bounds = bounds_from_matrix(matrix)
-    vectors = []
-    for i, tid in enumerate(matrix.test_ids):
-        window = tuple(int(s) for s in matrix.statuses[i])
-        vectors.append(
-            FeatureVector(
-                test_id=tid,
-                es_window=window,
-                duration_norm=normalize_duration(
-                    float(matrix.mean_duration_s[i]), bounds.duration_min, bounds.duration_max
-                ),
-                last_run_norm=_encode_last_run_clipped(matrix.last_run[i], bounds),
-                distance=distance(window),
-                change_in_status=change_in_status(window),
-            )
-        )
-    return vectors
+    return FeatureSet(feature_matrix(matrix, bounds, expected_window), matrix.test_ids)
 
 
 def stack(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray | None, list]:
-    """Stack vectors into an (n, d) input matrix, labels and ids."""
+    """Stack vectors into an (n, d) input matrix, labels and ids. A
+    FeatureSet hands over its own (read-only) arrays."""
+    if isinstance(vectors, FeatureSet):
+        return vectors.X, vectors.labels, list(vectors.test_ids)
     X = np.stack([v.flatten() for v in vectors])
     labels = None
     if all(v.label_priority is not None for v in vectors):
@@ -158,11 +211,9 @@ def stack(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray | No
 
 def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
                    expected_window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Vectorized equivalent of ``stack(extract(...))[0]``.
-
-    Used on the per-cycle prioritization path, where building one object
-    per test would dominate the ranking cost for large suites.
-    """
+    """The (n, window + 4) input matrix of a status matrix: per row the
+    window, then what normalize_duration, _encode_last_run_clipped,
+    distance and change_in_status give for it."""
     if matrix.window_len != expected_window:
         raise WindowLenMismatch(matrix.window_len, expected_window)
     if bounds is None:
@@ -175,7 +226,7 @@ def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
         dur = np.full(n, 0.5)
     else:
         dur = np.clip((matrix.mean_duration_s - bounds.duration_min) / span, 0.0, 1.0)
-    lastrun = np.array([_encode_last_run_clipped(ts, bounds) for ts in matrix.last_run])
+    lastrun = _last_run_column(matrix.last_run, bounds)
 
     swing = np.abs(statuses[:, -1] - statuses[:, 0])
     flips = np.zeros(n)

@@ -22,7 +22,14 @@ import numpy as np
 from .augment import AugmentConfig, augment, fail_ratio
 from .config import get_bool, get_float, get_int
 from .errors import InputError, InsufficientHistory, MissingPriorityColumn
-from .features import FeatureBounds, bounds_from_matrix, extract, feature_matrix, stack
+from .features import (
+    FeatureBounds,
+    FeatureSet,
+    bounds_from_matrix,
+    extract,
+    feature_matrix,
+    stack,
+)
 from .history import (
     ColumnMapping,
     CycleLog,
@@ -56,7 +63,7 @@ from .net import (
     train,
     xavier_init,
 )
-from .prioritize import PrioritizedSuite, RankedTest, rank, select_within_budget
+from .prioritize import PrioritizedSuite, rank, select_within_budget
 from .rocket import WeightScheme, label_dataset, priorities, weight_scheme
 
 logger = logging.getLogger(__name__)
@@ -101,13 +108,21 @@ class ExperimentPlan:
 
 
 def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
-    """Build a plan from flat config keys; explicit overrides win."""
+    """Build a plan from flat config keys; explicit overrides win.
+
+    ``train.rng_seed`` and ``augment.rng_seed`` default to the master seed
+    (the ``seed`` override, else the ``seed`` key), so one seed reaches
+    every RNG unless a sub-seed is set explicitly.
+    """
+    seed = overrides.get("seed")
+    if seed is None:
+        seed = get_int(cfg, "seed", 0)
     aug = AugmentConfig(
         k_neighbors=get_int(cfg, "augment.k_neighbors", 5),
         target_fail_ratio=get_float(cfg, "augment.target_fail_ratio", 0.05),
         noise_scale=get_float(cfg, "augment.noise_scale", 0.02),
         pass_keep_fraction=get_float(cfg, "augment.pass_keep_fraction", 1.0),
-        rng_seed=get_int(cfg, "augment.rng_seed", 0),
+        rng_seed=get_int(cfg, "augment.rng_seed", seed),
     )
     tr = TrainConfig(
         epochs_max=get_int(cfg, "train.epochs_max", 1000),
@@ -117,7 +132,7 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
         adam_eps=get_float(cfg, "train.adam_eps", 1e-8),
         mse_stop=get_float(cfg, "train.mse_stop", 1e-4),
         batch_size=(get_int(cfg, "train.batch_size", DEFAULT_BATCH_SIZE) or None),
-        rng_seed=get_int(cfg, "train.rng_seed", 0),
+        rng_seed=get_int(cfg, "train.rng_seed", seed),
     )
     plan = ExperimentPlan(
         dataset=cfg.get("replay.dataset"),
@@ -131,7 +146,7 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
         augment_config=aug,
         train_config=tr,
         retrain_every=(get_int(cfg, "replay.retrain_every", 0) or None),
-        seed=get_int(cfg, "seed", 0),
+        seed=seed,
     )
     if "replay.strategies" in cfg:
         plan.strategies = tuple(
@@ -241,12 +256,12 @@ def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: Weight
     from; the same construction (on post-cut cycles) yields held-out pairs.
     """
     state = ReplayState(window_len)
-    vectors = []
+    sets = []
     for cycle in cycles:
         state.ingest(cycle)
         matrix = state.matrix_for([rec.test_id for rec in cycle.records])
-        vectors.extend(label_dataset(matrix, scheme, bounds=bounds))
-    return vectors
+        sets.append(label_dataset(matrix, scheme, bounds=bounds))
+    return FeatureSet.concat(sets)
 
 
 def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan
@@ -352,6 +367,65 @@ def _evaluate_order(suite: PrioritizedSuite, failed: dict, actual_dur: dict,
     }
 
 
+def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarray,
+                     est_dur: np.ndarray, n_faults: int, budget_s: float) -> dict:
+    """What _evaluate_order reports, for each row of an (R, n) matrix of
+    orderings (indices into the per-test arrays), all rows at once.
+
+    Returns one list of R values per key, bit-equal to scoring each
+    ordering on its own: every sum, cumsum and division runs in the order
+    the scalar code runs it.
+    """
+    R, n = perms.shape
+    fail = failed[perms]
+    m = int(failed.sum())
+    positions = np.arange(1, n + 1)
+    none = [None] * R
+    out: dict = {}
+    if n and m:
+        out["apfd"] = (1.0 - (fail * positions).sum(axis=1) / (n * m) + 1.0 / (2 * n)).tolist()
+    else:
+        out["apfd"] = none
+
+    taken, remaining = _budget_walk(est_dur[perms], budget_s)
+    n_sel = taken.sum(axis=1)
+    hit = taken & fail
+    detected = hit.sum(axis=1)
+    if n_faults:
+        p = detected / n_faults
+        ranks = np.cumsum(taken, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = p - (ranks * hit).sum(axis=1) / (n_sel * n_faults) + p / (2 * n_sel)
+        out["napfd"] = np.where(n_sel > 0, score, 0.0).tolist()
+    else:
+        out["napfd"] = none
+
+    if m:
+        at_faults = np.cumsum(actual_dur[perms], axis=1)[fail].reshape(R, m)
+        out["ft_s"] = at_faults[:, 0].tolist()
+        out["lt_s"] = at_faults[:, -1].tolist()
+        out["at_s"] = [float(np.mean(row)) for row in at_faults]
+    else:
+        out["ft_s"] = out["lt_s"] = out["at_s"] = none
+    out["n_selected"] = n_sel.tolist()
+    out["detected"] = detected.tolist()
+    out["used_s"] = (budget_s - remaining).tolist()
+    return out
+
+
+def _budget_walk(durations: np.ndarray, budget_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """select_within_budget's skip-and-continue walk over each row of an
+    (R, n) matrix of durations in rank order, one rank position at a time
+    for all rows: the mask of tests taken and the budget left."""
+    R, n = durations.shape
+    taken = np.empty((R, n), dtype=bool)
+    remaining = np.full(R, float(budget_s))
+    for j in range(n):
+        fits = taken[:, j] = durations[:, j] <= remaining
+        remaining = np.where(fits, remaining - durations[:, j], remaining)
+    return taken, remaining
+
+
 def _mean_or_none(values: list) -> float | None:
     values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
@@ -429,18 +503,18 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             }
             for strategy in plan.strategies:
                 if strategy == STRATEGY_RANDOM:
-                    reps = []
-                    for rep in range(plan.random_repeats):
-                        rng = np.random.default_rng([plan.seed, cycle.cycle_id, rep])
-                        perm = [ids[i] for i in rng.permutation(len(ids))]
-                        suite = PrioritizedSuite(
-                            tuple(RankedTest(t, 0.0, mean_dur[t]) for t in perm)
-                        )
-                        reps.append(_evaluate_order(suite, failed, actual_dur,
-                                                    n_faults, budget_s))
-                    merged = {
-                        key: _mean_or_none([r[key] for r in reps]) for key in reps[0]
-                    }
+                    perms = np.array([
+                        np.random.default_rng([plan.seed, cycle.cycle_id, rep]).permutation(len(ids))
+                        for rep in range(plan.random_repeats)
+                    ]).reshape(plan.random_repeats, len(ids))
+                    reps = _evaluate_orders(
+                        perms,
+                        np.array([failed[t] for t in ids], dtype=bool),
+                        np.array([actual_dur[t] for t in ids], dtype=np.float64),
+                        np.array([mean_dur[t] for t in ids], dtype=np.float64),
+                        n_faults, budget_s,
+                    )
+                    merged = {key: _mean_or_none(values) for key, values in reps.items()}
                     rows.append({**base, "strategy": strategy, **merged})
                 else:
                     rows.append({

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, LengthMismatch
-from .features import FeatureVector, FeatureBounds, extract
+from .features import FeatureBounds, FeatureSet, extract
 from .history import StatusMatrix
 
 _SUM_TOL = 1e-9
@@ -100,10 +100,9 @@ def label_dataset(
     matrix: StatusMatrix,
     scheme: WeightScheme,
     bounds: FeatureBounds | None = None,
-) -> list[FeatureVector]:
+) -> FeatureSet:
     """Extract features and attach the history-weighted priority as label."""
     if matrix.window_len != len(scheme):
         raise LengthMismatch(matrix.window_len, len(scheme))
     vectors = extract(matrix, bounds=bounds, expected_window=matrix.window_len)
-    labels = priorities(matrix.statuses, scheme)
-    return [v.with_label(float(p)) for v, p in zip(vectors, labels)]
+    return vectors.with_labels(priorities(matrix.statuses, scheme))

@@ -8,7 +8,10 @@ import pytest
 
 from testprio.errors import OutOfRange, WindowLenMismatch
 from testprio.features import (
+    FeatureSet,
     FeatureVector,
+    _encode_last_run_clipped,
+    bounds_from_matrix,
     change_in_status,
     distance,
     dump_features_csv,
@@ -20,6 +23,7 @@ from testprio.features import (
     stack,
 )
 from testprio.history import build_status_matrix
+from testprio.rocket import label_dataset, linear_weights
 
 from conftest import cycles_from
 from test_history import random_cycles
@@ -143,20 +147,68 @@ class TestExtract:
                 assert 0.0 <= v.duration_norm <= 1.0
                 assert 0.0 <= v.last_run_norm <= 1.0
 
-    def test_feature_matrix_matches_object_path(self):
-        """The vectorized fast path agrees bitwise with extract()."""
+    def test_feature_matrix_matches_per_row_helpers(self):
+        """feature_matrix agrees bitwise with the scalar definition of each
+        feature, under the matrix's own bounds and under narrower persisted
+        ones that force clipping."""
         rng = random.Random(12)
         for _ in range(20):
             cycles = random_cycles(rng)
             matrix = build_status_matrix(cycles, 10, include_tests=[999])
-            fast = feature_matrix(matrix)
-            slow, _, _ = stack(extract(matrix))
-            assert np.array_equal(fast, slow)
+            early = build_status_matrix(cycles[: max(1, len(cycles) // 2)], 10)
+            for bounds in (bounds_from_matrix(matrix), bounds_from_matrix(early)):
+                expected = np.array([
+                    [*window,
+                     normalize_duration(dur, bounds.duration_min, bounds.duration_max),
+                     _encode_last_run_clipped(ts, bounds),
+                     distance(window),
+                     change_in_status(window)]
+                    for window, dur, ts in zip(matrix.statuses.tolist(),
+                                               matrix.mean_duration_s.tolist(),
+                                               matrix.last_run)
+                ])
+                assert np.array_equal(feature_matrix(matrix, bounds), expected)
+
+
+class TestFeatureSet:
+    def test_rows_are_vectors_of_the_matrix(self, tiny_history):
+        matrix = build_status_matrix(tiny_history, 10)
+        vectors = extract(matrix)
+        assert len(vectors) == len(matrix.test_ids)
+        assert [v.test_id for v in vectors] == list(matrix.test_ids)
+        X = feature_matrix(matrix)
+        for i, v in enumerate(vectors):
+            assert v == vectors[i]
+            assert np.array_equal(v.flatten(), X[i])
+            assert v.label_priority is None
+        assert [v.test_id for v in vectors[1:]] == list(matrix.test_ids[1:])
+
+    def test_stack_of_a_set_equals_stack_of_its_vectors(self):
+        rng = random.Random(13)
+        matrix = build_status_matrix(random_cycles(rng), 10, include_tests=[999])
+        labeled = label_dataset(matrix, linear_weights(10))
+        X, y, ids = stack(labeled)
+        X_obj, y_obj, ids_obj = stack(list(labeled))
+        assert np.array_equal(X, X_obj) and np.array_equal(y, y_obj) and ids == ids_obj
+        assert stack(extract(matrix))[1] is None
+
+    def test_is_read_only(self, tiny_history):
+        labeled = label_dataset(build_status_matrix(tiny_history, 10), linear_weights(10))
+        X, y, _ = stack(labeled)
+        with pytest.raises(ValueError):
+            X[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            y[0] = 5.0
+
+    def test_concat_keeps_row_order(self, tiny_history):
+        a = label_dataset(build_status_matrix(tiny_history[:3], 10), linear_weights(10))
+        b = label_dataset(build_status_matrix(tiny_history, 10), linear_weights(10))
+        assert list(FeatureSet.concat([a, b])) == list(a) + list(b)
 
 
 def test_features_csv_round_trip(tmp_path, tiny_history):
     matrix = build_status_matrix(tiny_history, 10)
-    vectors = [v.with_label(0.25 * i) for i, v in enumerate(extract(matrix))]
+    vectors = list(extract(matrix).with_labels(0.25 * np.arange(len(matrix.test_ids))))
     vectors[1] = FeatureVector(**{**vectors[1].__dict__, "label_priority": None})
     path = tmp_path / "features.csv"
     dump_features_csv(vectors, path)
