@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, augment as augment_vectors, fail_ratio
+from .augment import augment as augment_vectors, fail_ratio
 from .config import load_config
 from .errors import InputError, NumericError
 from .features import dump_features_csv, extract, load_features_csv, stack
@@ -93,9 +92,7 @@ def cmd_label(args) -> int:
 def cmd_augment(args) -> int:
     plan = _plan(args)
     vectors = load_features_csv(args.features)
-    cfg = plan.augment_config or AugmentConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
+    cfg = plan.augment_config
     before = fail_ratio(vectors)
     augmented = augment_vectors(vectors, cfg)
     after = fail_ratio(augmented)

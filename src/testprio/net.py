@@ -1,15 +1,23 @@
 """Small fully-connected regression network, implemented directly on numpy.
 
 Hidden layers use the Mish activation x * tanh(softplus(x)); the single
-output is linear. Training is full-batch gradient descent with the Adam
-update and mean-squared-error loss, stopping early once the loss drops
-below a configurable floor. Models serialize to a versioned plain-text
-format that round-trips bit-exactly.
+output is linear. Every weight and bias lives in one flat float64 vector
+(``Network.params``); the per-layer ``weights`` and ``biases`` are views
+into it, so one Adam update moves all parameters at once.
+
+Training minimizes mean-squared error with Adam, full-batch or in shuffled
+mini-batches (``TrainConfig.batch_size``; the replay uses 128). The epoch
+loss is taken on the whole training set at the top of every epoch, before
+that epoch's updates, and training stops early once it drops below a
+configurable floor. A training forward pass caches tanh(softplus(z)) of
+each hidden layer for the backward pass; the full-set loss of mini-batch
+mode and ``predict`` keep no cache. Models serialize to a versioned
+plain-text format that round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Sequence
@@ -31,21 +39,31 @@ MODEL_VERSION = "1"
 
 # --- activation -----------------------------------------------------------
 
+def _tanh_softplus(x):
+    """tanh(softplus(x)), softplus stable for large |x| via logaddexp."""
+    t = np.logaddexp(0.0, x, out=np.empty_like(x))
+    return np.tanh(t, out=t)
+
+
 def mish(x):
-    """x * tanh(softplus(x)), stable for large |x| via logaddexp."""
+    """x * tanh(softplus(x))."""
     x = np.asarray(x, dtype=np.float64)
-    return x * np.tanh(np.logaddexp(0.0, x))
+    return x * _tanh_softplus(x)
 
 
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _mish_prime(x, t):
+    """Derivative of Mish at x, given t = tanh(softplus(x))."""
+    return t + x * (1.0 - t * t) * _sigmoid(x)
+
+
 def mish_prime(x):
     """Analytic derivative: tanh(sp(x)) + x * sech^2(sp(x)) * sigmoid(x)."""
     x = np.asarray(x, dtype=np.float64)
-    t = np.tanh(np.logaddexp(0.0, x))
-    return t + x * (1.0 - t * t) * _sigmoid(x)
+    return _mish_prime(x, _tanh_softplus(x))
 
 
 # --- network --------------------------------------------------------------
@@ -53,11 +71,22 @@ def mish_prime(x):
 DEFAULT_HIDDEN = (10, 20, 15)
 
 
+def _flatten(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.ndarray:
+    """One float64 vector holding each layer's weights, then its biases."""
+    return np.concatenate([p.ravel() for w, b in zip(weights, biases) for p in (w, b)],
+                          dtype=np.float64)
+
+
 @dataclass
 class Network:
+    """Layer sizes plus parameters. Construction copies the given arrays
+    into one flat vector, ``params``; ``weights`` and ``biases`` are views
+    into it, so writing through either changes both."""
+
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 2:
@@ -68,6 +97,14 @@ class Network:
         for w, b, (din, dout) in zip(self.weights, self.biases, expect):
             if w.shape != (din, dout) or b.shape != (dout,):
                 raise ValueError(f"bad parameter shapes for layer {din}->{dout}")
+        self.params = _flatten(self.weights, self.biases)
+        self.weights, self.biases = [], []
+        start = 0
+        for din, dout in expect:
+            self.weights.append(self.params[start : start + din * dout].reshape(din, dout))
+            start += din * dout
+            self.biases.append(self.params[start : start + dout])
+            start += dout
 
     @property
     def input_dim(self) -> int:
@@ -75,11 +112,10 @@ class Network:
 
     @property
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "Network":
-        return Network(self.dims, [w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases])
+        return Network(self.dims, self.weights, self.biases)
 
 
 def default_dims(input_dim: int) -> tuple[int, ...]:
@@ -97,8 +133,10 @@ def xavier_init(dims: Sequence[int], rng: np.random.Generator) -> Network:
     return Network(dims, weights, biases)
 
 
-def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Batch forward pass; returns predictions and the cache backward needs."""
+def _forward(net: Network, x: np.ndarray, keep: bool) -> tuple[np.ndarray, dict | None]:
+    """The layer chain. With ``keep``, also returns every layer's input,
+    each hidden pre-activation z and its tanh(softplus(z)); without it,
+    only the current layer is held."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -106,21 +144,34 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, dict]:
     if x.shape[1] != net.input_dim:
         raise DimMismatch(x.shape[1], net.input_dim)
     last = len(net.weights) - 1
-    activations = [x]
-    pre = []
+    cache = {"activations": [x], "pre": [], "tanh_sp": []} if keep else None
     a = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == last else mish(z)
-        activations.append(a)
+        z = a @ w
+        z += b
+        if i == last:
+            a = z
+        elif keep:
+            t = _tanh_softplus(z)
+            cache["pre"].append(z)
+            cache["tanh_sp"].append(t)
+            a = z * t
+        else:
+            a = _tanh_softplus(z)
+            a *= z
+        if keep:
+            cache["activations"].append(a)
     preds = a[:, 0]
-    cache = {"activations": activations, "pre": pre}
     return (preds[0] if squeeze else preds), cache
 
 
+def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Batch forward pass; returns predictions and the cache backward needs."""
+    return _forward(net, x, keep=True)
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    return forward(net, x)[0]
+    return _forward(net, x, keep=False)[0]
 
 
 def mse(preds: Sequence[float], labels: Sequence[float]) -> float:
@@ -138,7 +189,7 @@ def backward(net: Network, cache: dict, labels: np.ndarray
              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of batch-mean squared error w.r.t. every weight and bias."""
     labels = np.asarray(labels, dtype=np.float64)
-    activations, pre = cache["activations"], cache["pre"]
+    activations, pre, tanh_sp = cache["activations"], cache["pre"], cache["tanh_sp"]
     n = activations[0].shape[0]
     preds = activations[-1][:, 0]
     delta = (2.0 / n) * (preds - labels)[:, None]
@@ -148,7 +199,7 @@ def backward(net: Network, cache: dict, labels: np.ndarray
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i].T) * mish_prime(pre[i - 1])
+            delta = (delta @ net.weights[i].T) * _mish_prime(pre[i - 1], tanh_sp[i - 1])
     return grads_w, grads_b
 
 
@@ -175,42 +226,33 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """First and second moments, laid out like ``Network.params``."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, net: Network) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in net.weights],
-            v_w=[np.zeros_like(w) for w in net.weights],
-            m_b=[np.zeros_like(b) for b in net.biases],
-            v_b=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def adam_step(net: Network, grads: tuple[list[np.ndarray], list[np.ndarray]],
               state: AdamState, config: TrainConfig) -> tuple[Network, AdamState]:
-    """One bias-corrected Adam update, in place."""
-    grads_w, grads_b = grads
+    """One bias-corrected Adam update of the whole parameter vector, in place."""
+    g = _flatten(*grads)
     state.step += 1
     t = state.step
     b1, b2, eps, lr = (config.adam_beta1, config.adam_beta2,
                        config.adam_eps, config.learning_rate)
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    for params, grads_, ms, vs in (
-        (net.weights, grads_w, state.m_w, state.v_w),
-        (net.biases, grads_b, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, grads_, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    net.params -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
     return net, state
 
 
@@ -252,7 +294,8 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            preds, cache = forward(net, X)
+            # mini-batch updates need no full-set cache
+            preds, cache = _forward(net, X, keep=config.batch_size is None)
             loss = mse(preds, y)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(

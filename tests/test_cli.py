@@ -75,6 +75,26 @@ def test_augment_rebalances(dataset, tmp_path):
     assert (tmp_path / "augmented.csv").exists()
 
 
+def test_augment_explicit_seed_wins_over_master_seed(dataset, tmp_path):
+    """augment.rng_seed set in the config wins over --seed, as in replay."""
+    assert main(["label", str(dataset), "--out-dir", str(tmp_path)]) == 0
+    features = str(tmp_path / "features.csv")
+    # the small log is already past the default target ratio
+    base = "augment.target_fail_ratio = 0.5\n"
+    (tmp_path / "base.cfg").write_text(base)
+    (tmp_path / "seeded.cfg").write_text(base + "augment.rng_seed = 4\n")
+
+    def augmented(config, seed):
+        out = tmp_path / f"{config}-{seed}"
+        assert main(["augment", features, "--config", str(tmp_path / config),
+                     "--seed", seed, "--out-dir", str(out)]) == 0
+        return (out / "augmented.csv").read_bytes()
+
+    explicit = augmented("seeded.cfg", "7")
+    assert explicit == augmented("base.cfg", "4")
+    assert explicit != augmented("base.cfg", "7")
+
+
 def test_train_writes_model_and_log(trained_model):
     assert trained_model.exists()
     assert (trained_model.parent / "training_log.csv").exists()

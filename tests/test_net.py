@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestMish:
         h = 1e-6
         numeric = (mish(grid + h) - mish(grid - h)) / (2 * h)
         assert np.allclose(mish_prime(grid), numeric, atol=1e-7)
+
+    def test_bit_identical_to_the_plain_formulas(self):
+        x = np.random.default_rng(12).normal(scale=6.0, size=5000)
+        t = np.tanh(np.logaddexp(0.0, x))
+        sigmoid = 0.5 * (1.0 + np.tanh(0.5 * x))
+        assert np.array_equal(mish(x), x * t)
+        assert np.array_equal(mish_prime(x), t + x * (1.0 - t * t) * sigmoid)
 
 
 class TestXavierInit:
@@ -121,6 +129,22 @@ class TestForward:
         net = xavier_init((4, 2, 1), np.random.default_rng(0))
         with pytest.raises(DimMismatch):
             forward(net, np.ones((3, 5)))
+
+    def test_predict_keeps_no_cache(self):
+        """predict holds one layer at a time; forward keeps every layer."""
+        net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(0))
+        X = np.random.default_rng(1).uniform(-1, 1, (20_000, 14))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(net, X)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict_peak, forward_peak = peak(predict), peak(forward)
+        assert predict_peak < 0.5 * forward_peak, (predict_peak, forward_peak)
 
 
 class TestMse:
@@ -330,3 +354,108 @@ class TestSerialization:
     def test_window_len_property(self):
         net = xavier_init((14, 10, 1), np.random.default_rng(0))
         assert SavedModel(net, BOUNDS).window_len == 10
+
+
+# --- bit-identity against the plain training step ---------------------------
+
+def plain_forward(weights, biases, x):
+    """Layer chain keeping every activation and pre-activation."""
+    activations, pre = [x], []
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        pre.append(z)
+        a = z if i == last else z * np.tanh(np.logaddexp(0.0, z))
+        activations.append(a)
+    return a[:, 0], activations, pre
+
+
+def plain_backward(weights, activations, pre, labels):
+    """Backward pass that recomputes the Mish derivative with mish_prime."""
+    n = activations[0].shape[0]
+    delta = (2.0 / n) * (activations[-1][:, 0] - labels)[:, None]
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for i in reversed(range(len(weights))):
+        grads_w[i] = activations[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * mish_prime(pre[i - 1])
+    return grads_w, grads_b
+
+
+def plain_train(net, X, y, config):
+    """Adam on MSE with one update loop per parameter array, written out.
+
+    The loss is taken at the top of every epoch from a forward pass that
+    keeps its cache; full-batch mode reuses that cache for the update.
+    """
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    params = weights + biases
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    b1, b2, eps, lr = (config.adam_beta1, config.adam_beta2,
+                       config.adam_eps, config.learning_rate)
+    step = 0
+
+    def update(grads_w, grads_b):
+        nonlocal step
+        step += 1
+        corr1 = 1.0 - b1 ** step
+        corr2 = 1.0 - b2 ** step
+        for p, g, m, v in zip(params, grads_w + grads_b, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+    rng = np.random.default_rng(config.rng_seed)
+    epoch_mse = []
+    for _ in range(config.epochs_max):
+        preds, activations, pre = plain_forward(weights, biases, X)
+        diff = preds - y
+        loss = float(diff @ diff / diff.size)
+        epoch_mse.append(loss)
+        if loss < config.mse_stop:
+            break
+        if config.batch_size is None:
+            update(*plain_backward(weights, activations, pre, y))
+        else:
+            order = rng.permutation(X.shape[0])
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                _, b_act, b_pre = plain_forward(weights, biases, X[idx])
+                update(*plain_backward(weights, b_act, b_pre, y[idx]))
+    return weights, biases, epoch_mse
+
+
+class TestBitIdentity:
+    """train() must do the same arithmetic as the plain step, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(6, 5, 1), (14, 10, 20, 15, 1), (3, 7, 4, 1)])
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_train_matches_plain_training_step(self, dims, batch_size):
+        rng = np.random.default_rng(sum(dims) + (batch_size or 0))
+        X = rng.uniform(-1, 1, (90, dims[0]))
+        y = rng.uniform(size=90)
+        config = TrainConfig(epochs_max=25, batch_size=batch_size, rng_seed=11)
+        start = xavier_init(dims, np.random.default_rng(4))
+        weights, biases, epoch_mse = plain_train(start, X, y, config)
+        result = train(start.copy(), X, y, config)
+        assert result.epoch_mse == epoch_mse
+        assert all(np.array_equal(a, b) for a, b in zip(result.net.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(result.net.biases, biases))
+
+    def test_backward_matches_plain_backward(self):
+        rng = np.random.default_rng(46)
+        net = xavier_init((14, 10, 20, 15, 1), rng)
+        X = rng.normal(scale=3.0, size=(200, 14))
+        y = rng.uniform(size=200)
+        _, cache = forward(net, X)
+        _, activations, pre = plain_forward(net.weights, net.biases, X)
+        grads_w, grads_b = backward(net, cache, y)
+        plain_w, plain_b = plain_backward(net.weights, activations, pre, y)
+        assert all(np.array_equal(a, b) for a, b in zip(grads_w, plain_w))
+        assert all(np.array_equal(a, b) for a, b in zip(grads_b, plain_b))
