@@ -60,9 +60,9 @@ def _plan(args, **overrides) -> ExperimentPlan:
 
 def cmd_ingest(args) -> int:
     cycles = ingest_csv(args.dataset)
-    executions = sum(len(c.records) for c in cycles)
-    failures = sum(1 for c in cycles for r in c.records if r.failed)
-    tests = {r.test_id for c in cycles for r in c.records}
+    executions = sum(len(c.test_ids) for c in cycles)
+    failures = sum(int(c.failed.sum()) for c in cycles)
+    tests = set().union(*(c.test_ids for c in cycles))
     print(format_table(
         ["cycles", "tests", "executions", "failed", "fail_ratio"],
         [[len(cycles), len(tests), executions, failures,

@@ -2,18 +2,28 @@
 
 The raw input is a per-execution log. Each row records one run of one test
 in one CI cycle; a test that did not run in a cycle simply has no row
-there. From the grouped log we derive per-test status windows where
-fail = +1, pass = 0 and not-executed = -1, with the most recent cycle in
-the last slot.
+there. The log is held as columns: each ``CycleLog`` keeps its rows' test
+ids, names, verdicts, durations, last-run timestamps and optional
+priorities side by side, in file order. ``ExecutionRecord`` objects are
+built only for callers that read ``CycleLog.records`` or construct a cycle
+from records.
+
+``ReplayState`` is the one window builder. It folds cycles in one at a
+time, a few array operations per cycle, into per-test status windows where
+fail = +1, pass = 0 and not-executed = -1, with the most recent cycle in the
+last slot, plus duration and recency statistics. ``build_status_matrix``
+is a snapshot of it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +43,10 @@ PASS = 0
 NOT_RUN = -1
 
 DEFAULT_WINDOW = 10
+
+# Rows parsed per chunk by ingest_csv. Only one chunk's per-row lists are
+# alive at a time, which keeps the cyclic garbage collector's passes short.
+INGEST_CHUNK_ROWS = 1024
 
 
 class Verdict(Enum):
@@ -63,24 +77,108 @@ class ExecutionRecord:
         return self.verdict is Verdict.FAILED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CycleLog:
-    """All executions of a single CI cycle, in stable input order."""
+    """All executions of a single CI cycle, in stable input order, as columns.
+
+    ``test_ids``, ``names``, ``last_run`` (datetimes) and ``prio`` (float or
+    None) are tuples; ``failed`` (bool) and ``duration_s`` (float64) are
+    read-only arrays. ``CycleLog(cycle_id, records)`` validates and splits
+    records into columns; ``records`` builds them back when read.
+    """
 
     cycle_id: int
-    records: tuple[ExecutionRecord, ...]
+    test_ids: tuple
+    names: tuple
+    failed: np.ndarray
+    duration_s: np.ndarray
+    last_run: tuple
+    prio: tuple
 
-    def __post_init__(self):
+    def __init__(self, cycle_id: int, records: Iterable[ExecutionRecord]):
+        records = tuple(records)
         seen = set()
-        for rec in self.records:
-            if rec.cycle_id != self.cycle_id:
+        for rec in records:
+            if rec.cycle_id != cycle_id:
                 raise ValueError(
                     f"record for test {rec.test_id} belongs to cycle {rec.cycle_id}, "
-                    f"not {self.cycle_id}"
+                    f"not {cycle_id}"
                 )
             if rec.test_id in seen:
-                raise DuplicateExecution(rec.test_id, self.cycle_id)
+                raise DuplicateExecution(rec.test_id, cycle_id)
             seen.add(rec.test_id)
+        self._set_columns(
+            cycle_id,
+            tuple(r.test_id for r in records),
+            tuple(r.test_name for r in records),
+            [r.failed for r in records],
+            [r.duration_s for r in records],
+            tuple(r.last_run for r in records),
+            tuple(r.prio for r in records),
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "CycleLog":
+        """A cycle from columns ingest_csv has already validated."""
+        log = cls.__new__(cls)
+        log._set_columns(*columns)
+        return log
+
+    def _set_columns(self, cycle_id, test_ids, names, failed, duration_s, last_run, prio):
+        failed = np.asarray(failed, dtype=bool)
+        duration_s = np.asarray(duration_s, dtype=np.float64)
+        failed.flags.writeable = duration_s.flags.writeable = False
+        values = (cycle_id, test_ids, names, failed, duration_s, last_run, prio)
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def records(self) -> "_Records":
+        return _Records(self)
+
+    def _record(self, i: int) -> ExecutionRecord:
+        return ExecutionRecord(
+            test_id=self.test_ids[i],
+            test_name=self.names[i],
+            duration_s=float(self.duration_s[i]),
+            last_run=self.last_run[i],
+            verdict=Verdict.FAILED if self.failed[i] else Verdict.PASSED,
+            cycle_id=self.cycle_id,
+            prio=self.prio[i],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, CycleLog):
+            return NotImplemented
+        return (
+            self.cycle_id == other.cycle_id
+            and self.test_ids == other.test_ids
+            and self.names == other.names
+            and np.array_equal(self.failed, other.failed)
+            and np.array_equal(self.duration_s, other.duration_s)
+            and self.last_run == other.last_run
+            and self.prio == other.prio
+        )
+
+
+class _Records(SequenceABC):
+    """A cycle's rows as ExecutionRecords, each built when it is read."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: CycleLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.test_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._log._record, range(len(self))[i]))
+        return self._log._record(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._log._record, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -108,33 +206,114 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> list[CycleLog]:
-    """Parse an execution log CSV into cycle-grouped records.
+    """Parse an execution log CSV into cycle-grouped columns.
 
-    Cycles come back sorted ascending by id; record order inside a cycle is
+    Cycles come back sorted ascending by id; row order inside a cycle is
     the file order. Verdict must be encoded 0 = pass, 1 = fail. Extra
     columns (e.g. LastResults) are ignored.
+
+    The file is read with ``csv.reader`` in chunks of rows; each chunk is
+    transposed, and each column is parsed and checked in bulk. One stable
+    sort on the cycle column then splits the columns into ``CycleLog``s.
+    The whole file is parsed and validated before this returns. If any row
+    fails a check, the file is re-walked row by row (``_parse_row`` is the
+    definition of a valid row), which raises the first bad row's error with
+    its row number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise MissingColumn(schema.id)
         for col in schema.required():
             if col not in header:
                 raise MissingColumn(col)
         has_prio = schema.prio is not None and schema.prio in header
+        try:
+            cycles = _ingest_columns(reader, header, schema, has_prio)
+        except (ValueError, OverflowError, csv.Error):
+            cycles = None
+        if cycles is None:
+            fh.seek(0)
+            cycles = _ingest_rows(csv.DictReader(fh), schema, has_prio)
+    return cycles
 
-        by_cycle: dict[int, list[ExecutionRecord]] = {}
-        seen: set[tuple[int, int]] = set()
-        for rownum, row in enumerate(reader, start=2):
-            rec = _parse_row(row, rownum, schema, has_prio)
-            key = (rec.test_id, rec.cycle_id)
-            if key in seen:
-                raise DuplicateExecution(rec.test_id, rec.cycle_id)
-            seen.add(key)
-            by_cycle.setdefault(rec.cycle_id, []).append(rec)
 
-    return [CycleLog(cid, tuple(by_cycle[cid])) for cid in sorted(by_cycle)]
+def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
+                    has_prio: bool) -> list[CycleLog] | None:
+    """The bulk path of ingest_csv. Returns None, or raises ValueError,
+    OverflowError or csv.Error, when some row is not valid."""
+    # csv.DictReader maps a duplicated header name to its last column.
+    where = {name: i for i, name in enumerate(header)}
+    fields = [*schema.required(), schema.prio] if has_prio else list(schema.required())
+    at = [where[f] for f in fields]
+    ids, names, durations, stamps, verdicts, cycle_ids, prios = [], [], [], [], [], [], []
+    rows = filter(None, reader)  # a blank line reads as []; DictReader skips it
+    while chunk := list(islice(rows, INGEST_CHUNK_ROWS)):
+        columns = list(zip(*chunk))
+        del chunk
+        if len(columns) <= max(at):  # some row is too short to hold every field
+            return None
+        ids += map(int, columns[at[0]])
+        names += columns[at[1]]
+        durations += map(float, columns[at[2]])
+        stamps += map(datetime.fromisoformat, map(str.strip, columns[at[3]]))
+        verdicts += map(str.strip, columns[at[4]])
+        cycle_ids += map(int, columns[at[5]])
+        if has_prio:
+            prios += [float(p) if p else None for p in map(str.strip, columns[at[6]])]
+    n = len(ids)
+    if not n:
+        return []
+    duration = np.array(durations, dtype=np.float64)
+    cycle = np.array(cycle_ids, dtype=np.int64)
+    id_array = np.array(ids, dtype=np.int64)
+    if (
+        not set(verdicts) <= {"0", "1"}
+        or not np.isfinite(duration).all()
+        or (duration < 0).any()
+        or (cycle < 1).any()
+    ):
+        return None
+    failed = np.fromiter(map("1".__eq__, verdicts), dtype=bool, count=n)
+    names = np.fromiter(names, dtype=object, count=n)
+    stamps = np.fromiter(stamps, dtype=object, count=n)
+    prios = np.fromiter(prios, dtype=object, count=n) if has_prio else None
+
+    order = np.argsort(cycle, kind="stable")
+    cycle = cycle[order]
+    bounds = [0, *(np.flatnonzero(cycle[1:] != cycle[:-1]) + 1).tolist(), n]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows_at = order[lo:hi]
+        test_ids = tuple(id_array[rows_at].tolist())
+        if len(set(test_ids)) < len(test_ids):
+            return None  # a duplicate (id, cycle)
+        out.append(CycleLog._from_columns(
+            int(cycle[lo]),
+            test_ids,
+            tuple(names[rows_at].tolist()),
+            failed[rows_at],
+            duration[rows_at],
+            tuple(stamps[rows_at].tolist()),
+            tuple(prios[rows_at].tolist()) if has_prio else (None,) * len(test_ids),
+        ))
+    return out
+
+
+def _ingest_rows(reader: csv.DictReader, schema: ColumnMapping,
+                 has_prio: bool) -> list[CycleLog]:
+    """ingest_csv one row at a time: raises the first bad row's error."""
+    by_cycle: dict[int, list[ExecutionRecord]] = {}
+    seen: set[tuple[int, int]] = set()
+    for rownum, row in enumerate(reader, start=2):
+        rec = _parse_row(row, rownum, schema, has_prio)
+        key = (rec.test_id, rec.cycle_id)
+        if key in seen:
+            raise DuplicateExecution(rec.test_id, rec.cycle_id)
+        seen.add(key)
+        by_cycle.setdefault(rec.cycle_id, []).append(rec)
+    return [CycleLog(cid, by_cycle[cid]) for cid in sorted(by_cycle)]
 
 
 def _parse_row(row: dict, rownum: int, schema: ColumnMapping, has_prio: bool) -> ExecutionRecord:
@@ -192,17 +371,20 @@ def emit_csv(cycles: Iterable[CycleLog], path: str | Path,
         writer = csv.writer(fh)
         writer.writerow(header)
         for cycle in cycles:
-            for rec in cycle.records:
+            for tid, name, duration, stamp, failed, prio in zip(
+                cycle.test_ids, cycle.names, cycle.duration_s.tolist(), cycle.last_run,
+                cycle.failed.tolist(), cycle.prio,
+            ):
                 row = [
-                    rec.test_id,
-                    rec.test_name,
-                    repr(rec.duration_s),
-                    rec.last_run.isoformat(sep=" "),
-                    "1" if rec.failed else "0",
-                    rec.cycle_id,
+                    tid,
+                    name,
+                    repr(duration),
+                    stamp.isoformat(sep=" "),
+                    "1" if failed else "0",
+                    cycle.cycle_id,
                 ]
                 if schema.prio is not None:
-                    row.append("" if rec.prio is None else repr(rec.prio))
+                    row.append("" if prio is None else repr(prio))
                 writer.writerow(row)
 
 
@@ -238,6 +420,95 @@ class StatusMatrix:
         return self.statuses[self.test_ids.index(test_id)]
 
 
+class ReplayState:
+    """Per-test rolling status window, duration stats and recency.
+
+    Tests get rows in order of first appearance. ``ingest`` folds one cycle
+    in with a few array operations over that cycle's rows, and the window
+    moves by one shift of the matrix, so per-cycle work does not grow with
+    the length of the history already folded in.
+    """
+
+    def __init__(self, window_len: int):
+        self.window_len = window_len
+        self.index: dict = {}
+        self.ids: list = []
+        self.statuses = np.empty((0, window_len), dtype=np.int8)
+        self.dur_sum = np.empty(0)
+        self.dur_count = np.empty(0)
+        self.last_run = np.empty(0, dtype=object)  # datetime, None until a test runs
+        self.cycle = 0  # cycle id the last window slot corresponds to
+
+    @classmethod
+    def from_cycles(cls, cycles: Sequence[CycleLog], window_len: int,
+                    as_of_cycle: int) -> "ReplayState":
+        state = cls(window_len)
+        for cycle in cycles:
+            if cycle.cycle_id > as_of_cycle:
+                break
+            state.ingest(cycle)
+        state.advance_to(as_of_cycle)
+        return state
+
+    def ensure_rows(self, test_ids) -> None:
+        test_ids = tuple(test_ids)
+        if self.index.keys() >= set(test_ids):
+            return
+        fresh = [tid for tid in dict.fromkeys(test_ids) if tid not in self.index]
+        self.index.update(zip(fresh, range(len(self.ids), len(self.ids) + len(fresh))))
+        self.ids += fresh
+        pad = np.full((len(fresh), self.window_len), NOT_RUN, dtype=np.int8)
+        self.statuses = np.vstack([self.statuses, pad])
+        self.dur_sum = np.concatenate([self.dur_sum, np.zeros(len(fresh))])
+        self.dur_count = np.concatenate([self.dur_count, np.zeros(len(fresh))])
+        self.last_run = np.concatenate([self.last_run, np.full(len(fresh), None, dtype=object)])
+
+    def _rows(self, test_ids: tuple) -> np.ndarray:
+        self.ensure_rows(test_ids)
+        return np.fromiter(map(self.index.__getitem__, test_ids), dtype=np.intp,
+                           count=len(test_ids))
+
+    def advance_to(self, cycle_id: int) -> None:
+        if cycle_id < self.cycle:
+            raise ValueError("replay state cannot move backwards")
+        shift = cycle_id - self.cycle
+        if shift == 0 or len(self.ids) == 0:
+            self.cycle = cycle_id
+            return
+        if shift >= self.window_len:
+            self.statuses[:] = NOT_RUN
+        else:
+            self.statuses[:, :-shift] = self.statuses[:, shift:]
+            self.statuses[:, -shift:] = NOT_RUN
+        self.cycle = cycle_id
+
+    def ingest(self, cycle: CycleLog) -> None:
+        rows = self._rows(cycle.test_ids)
+        self.advance_to(cycle.cycle_id)
+        self.statuses[rows, -1] = cycle.failed
+        self.dur_sum[rows] += cycle.duration_s
+        # The latest stamp wins; a tie keeps the stamp already held.
+        stamps = np.fromiter(cycle.last_run, dtype=object, count=len(rows))
+        later = self.dur_count[rows] == 0
+        seen = ~later
+        later[seen] = stamps[seen] > self.last_run[rows[seen]]
+        self.last_run[rows[later]] = stamps[later]
+        self.dur_count[rows] += 1
+
+    def matrix_for(self, test_ids) -> StatusMatrix:
+        test_ids = tuple(test_ids)
+        rows = self._rows(test_ids)
+        count = self.dur_count[rows]
+        mean = np.divide(self.dur_sum[rows], count, out=np.zeros(len(rows)), where=count > 0)
+        return StatusMatrix(
+            test_ids=test_ids,
+            window_len=self.window_len,
+            statuses=self.statuses[rows],
+            mean_duration_s=mean,
+            last_run=tuple(self.last_run[rows].tolist()),
+        )
+
+
 def build_status_matrix(
     cycles: Sequence[CycleLog],
     window_len: int = DEFAULT_WINDOW,
@@ -252,6 +523,8 @@ def build_status_matrix(
     run are taken over the full history up to ``as_of_cycle``, not just
     the window. ``include_tests`` forces rows for tests with no history
     yet (all -1, duration 0), which replay needs for first-time tests.
+    Rows follow first appearance in the history, then ``include_tests``.
+    This is a snapshot of a ReplayState fed the same cycles.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be >= 1, got {window_len}")
@@ -260,45 +533,9 @@ def build_status_matrix(
         raise ValueError("cycles must be sorted ascending by cycle_id")
     if as_of_cycle is None:
         as_of_cycle = ids[-1] if ids else 0
-    history = [c for c in cycles if c.cycle_id <= as_of_cycle]
-    if not history:
+    if not ids or ids[0] > as_of_cycle:
         raise EmptyHistory(f"no cycles at or before {as_of_cycle}")
-
-    order: list = []
-    index: dict = {}
-    for cycle in history:
-        for rec in cycle.records:
-            if rec.test_id not in index:
-                index[rec.test_id] = len(order)
-                order.append(rec.test_id)
+    state = ReplayState.from_cycles(cycles, window_len, as_of_cycle)
     if include_tests is not None:
-        for tid in include_tests:
-            if tid not in index:
-                index[tid] = len(order)
-                order.append(tid)
-
-    n = len(order)
-    statuses = np.full((n, window_len), NOT_RUN, dtype=np.int8)
-    dur_sum = np.zeros(n)
-    dur_count = np.zeros(n)
-    last_run: list = [None] * n
-    window_lo = as_of_cycle - window_len + 1
-    for cycle in history:
-        slot = cycle.cycle_id - window_lo
-        for rec in cycle.records:
-            i = index[rec.test_id]
-            if slot >= 0:
-                statuses[i, slot] = FAIL if rec.failed else PASS
-            dur_sum[i] += rec.duration_s
-            dur_count[i] += 1
-            if last_run[i] is None or rec.last_run > last_run[i]:
-                last_run[i] = rec.last_run
-
-    mean = np.divide(dur_sum, dur_count, out=np.zeros(n), where=dur_count > 0)
-    return StatusMatrix(
-        test_ids=tuple(order),
-        window_len=window_len,
-        statuses=statuses,
-        mean_duration_s=mean,
-        last_run=tuple(last_run),
-    )
+        state.ensure_rows(include_tests)
+    return state.matrix_for(state.ids)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field, replace
-from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .features import (
 from .history import (
     ColumnMapping,
     CycleLog,
-    NOT_RUN,
+    ReplayState,
     StatusMatrix,
     build_status_matrix,
     ingest_csv,
@@ -158,93 +157,6 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
     return plan
 
 
-# --- incremental replay state ----------------------------------------------
-
-class ReplayState:
-    """Per-test rolling status window, duration stats and recency.
-
-    Equivalent to rebuilding a StatusMatrix from scratch at every cycle
-    (see the cross-check test) but amortized O(1) per record, which keeps
-    per-cycle prioritization time independent of history length.
-    """
-
-    def __init__(self, window_len: int):
-        self.window_len = window_len
-        self.index: dict = {}
-        self.ids: list = []
-        self.statuses = np.empty((0, window_len), dtype=np.int8)
-        self.dur_sum = np.empty(0)
-        self.dur_count = np.empty(0)
-        self.last_run: list = []
-        self.cycle = 0  # cycle id the last window slot corresponds to
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[CycleLog], window_len: int,
-                    as_of_cycle: int) -> "ReplayState":
-        state = cls(window_len)
-        for cycle in cycles:
-            if cycle.cycle_id > as_of_cycle:
-                break
-            state.ingest(cycle)
-        state.advance_to(as_of_cycle)
-        return state
-
-    def ensure_rows(self, test_ids) -> None:
-        fresh = [tid for tid in test_ids if tid not in self.index]
-        if not fresh:
-            return
-        for tid in fresh:
-            self.index[tid] = len(self.ids)
-            self.ids.append(tid)
-            self.last_run.append(None)
-        pad = np.full((len(fresh), self.window_len), NOT_RUN, dtype=np.int8)
-        self.statuses = np.vstack([self.statuses, pad])
-        self.dur_sum = np.concatenate([self.dur_sum, np.zeros(len(fresh))])
-        self.dur_count = np.concatenate([self.dur_count, np.zeros(len(fresh))])
-
-    def advance_to(self, cycle_id: int) -> None:
-        if cycle_id < self.cycle:
-            raise ValueError("replay state cannot move backwards")
-        shift = cycle_id - self.cycle
-        if shift == 0 or len(self.ids) == 0:
-            self.cycle = cycle_id
-            return
-        if shift >= self.window_len:
-            self.statuses[:] = NOT_RUN
-        else:
-            self.statuses[:, :-shift] = self.statuses[:, shift:]
-            self.statuses[:, -shift:] = NOT_RUN
-        self.cycle = cycle_id
-
-    def ingest(self, cycle: CycleLog) -> None:
-        self.ensure_rows([rec.test_id for rec in cycle.records])
-        self.advance_to(cycle.cycle_id)
-        for rec in cycle.records:
-            i = self.index[rec.test_id]
-            self.statuses[i, -1] = 1 if rec.failed else 0
-            self.dur_sum[i] += rec.duration_s
-            self.dur_count[i] += 1
-            if self.last_run[i] is None or rec.last_run > self.last_run[i]:
-                self.last_run[i] = rec.last_run
-
-    def matrix_for(self, test_ids) -> StatusMatrix:
-        self.ensure_rows(test_ids)
-        rows = [self.index[tid] for tid in test_ids]
-        mean = np.divide(
-            self.dur_sum[rows],
-            self.dur_count[rows],
-            out=np.zeros(len(rows)),
-            where=self.dur_count[rows] > 0,
-        )
-        return StatusMatrix(
-            test_ids=tuple(test_ids),
-            window_len=self.window_len,
-            statuses=self.statuses[rows].copy(),
-            mean_duration_s=mean,
-            last_run=tuple(self.last_run[r] for r in rows),
-        )
-
-
 # --- training ----------------------------------------------------------------
 
 def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: WeightScheme,
@@ -259,7 +171,7 @@ def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: Weight
     sets = []
     for cycle in cycles:
         state.ingest(cycle)
-        matrix = state.matrix_for([rec.test_id for rec in cycle.records])
+        matrix = state.matrix_for(cycle.test_ids)
         sets.append(label_dataset(matrix, scheme, bounds=bounds))
     return FeatureSet.concat(sets)
 
@@ -475,10 +387,11 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                     model, training = train_model(history, plan)
                     trained_through = cycle.cycle_id
 
-            ids = [rec.test_id for rec in cycle.records]
-            failed = {rec.test_id: rec.failed for rec in cycle.records}
-            actual_dur = {rec.test_id: rec.duration_s for rec in cycle.records}
-            n_faults = sum(failed.values())
+            ids = list(cycle.test_ids)
+            failed = dict(zip(ids, cycle.failed.tolist()))
+            actual_dur = dict(zip(ids, cycle.duration_s.tolist()))
+            n_faults = int(cycle.failed.sum())
+            # A left-to-right sum: np.sum adds pairwise, which changes the last bits.
             budget_s = plan.budget_fraction * sum(actual_dur.values())
 
             with timer.phase(PHASE_PRIORITIZE):
@@ -508,10 +421,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                         for rep in range(plan.random_repeats)
                     ]).reshape(plan.random_repeats, len(ids))
                     reps = _evaluate_orders(
-                        perms,
-                        np.array([failed[t] for t in ids], dtype=bool),
-                        np.array([actual_dur[t] for t in ids], dtype=np.float64),
-                        np.array([mean_dur[t] for t in ids], dtype=np.float64),
+                        perms, cycle.failed, cycle.duration_s, matrix.mean_duration_s,
                         n_faults, budget_s,
                     )
                     merged = {key: _mean_or_none(values) for key, values in reps.items()}
@@ -726,10 +636,8 @@ def compare_against_ground_truth(
         cycles = list(plan.dataset)
 
     actual: dict = {}
-    for cycle in cycles:
-        for rec in cycle.records:
-            if rec.prio is not None:
-                actual[rec.test_id] = rec.prio  # later cycles overwrite
+    for cycle in cycles:  # later cycles overwrite
+        actual.update((tid, p) for tid, p in zip(cycle.test_ids, cycle.prio) if p is not None)
     if not actual:
         raise MissingPriorityColumn(
             f"dataset carries no usable {prio_column!r} values"

@@ -108,12 +108,12 @@ def sample_rows(cycles: list[CycleLog], fraction: float, seed: int = 0) -> list[
 
 
 def row_count(cycles: list[CycleLog]) -> int:
-    return sum(len(c.records) for c in cycles)
+    return sum(len(c.test_ids) for c in cycles)
 
 
 def failure_ratio(cycles: list[CycleLog]) -> float:
     rows = row_count(cycles)
     if rows == 0:
         return 0.0
-    fails = sum(1 for c in cycles for r in c.records if r.failed)
+    fails = sum(int(c.failed.sum()) for c in cycles)
     return fails / rows

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from testprio.errors import (
     BadVerdict,
@@ -19,6 +23,7 @@ from testprio.history import (
     CycleLog,
     ExecutionRecord,
     Verdict,
+    _parse_row,
     build_status_matrix,
     emit_csv,
     ingest_csv,
@@ -106,6 +111,129 @@ class TestIngest:
         # schema asks for prio but file has no such column: records get None
         cycles = ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1\n"), schema)
         assert cycles[0].records[0].prio is None
+
+
+def dictreader_ingest(path, schema):
+    """ingest_csv as it was before the columnar path: csv.DictReader and
+    _parse_row, one row at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise MissingColumn(schema.id)
+        for col in schema.required():
+            if col not in header:
+                raise MissingColumn(col)
+        has_prio = schema.prio is not None and schema.prio in header
+        by_cycle, seen = {}, set()
+        for rownum, row in enumerate(reader, start=2):
+            record = _parse_row(row, rownum, schema, has_prio)
+            key = (record.test_id, record.cycle_id)
+            if key in seen:
+                raise DuplicateExecution(record.test_id, record.cycle_id)
+            seen.add(key)
+            by_cycle.setdefault(record.cycle_id, []).append(record)
+    return [CycleLog(cid, tuple(by_cycle[cid])) for cid in sorted(by_cycle)]
+
+
+FAULTS = {
+    "bad id": ("Id", "7x"),
+    "nan duration": ("Duration", "nan"),
+    "inf duration": ("Duration", "-inf"),
+    "negative duration": ("Duration", "-0.5"),
+    "bad timestamp": ("LastRun", "2016-02-30"),
+    "bad verdict": ("Verdict", "2"),
+    "cycle 0": ("Cycle", "0"),
+    "duplicate": None,
+}
+PADDED = st.sampled_from(["{}", " {}", "{} ", "  {}\t"])
+FREE_TEXT = st.text(alphabet='aT1 ,"\n', max_size=6)
+
+
+@st.composite
+def execution_logs(draw):
+    """CSV text of an execution log, the fault injected (or None) and the schema."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                         max_size=25, unique=True))
+    with_prio = draw(st.booleans())
+    fields = ["Id", "Name", "Duration", "LastRun", "Verdict", "Cycle"]
+    fields += ["CalcPrio"] if with_prio else []
+    extras = draw(st.lists(st.sampled_from(["LastResults", "Id", "Duration", "Cycle"]),
+                           max_size=3))
+    header = draw(st.permutations(fields + extras))
+    last = {name: i for i, name in enumerate(header)}  # DictReader reads the last one
+
+    rows = []
+    for test_id, cycle in keys:
+        stamp = draw(st.datetimes(datetime(2015, 1, 1), datetime(2017, 1, 1)))
+        value = {
+            "Id": draw(PADDED).format(test_id),
+            "Name": draw(FREE_TEXT),
+            "Duration": draw(PADDED).format(
+                repr(draw(st.floats(0, 1e4, allow_nan=False)))),
+            "LastRun": draw(PADDED).format(draw(st.sampled_from(
+                [stamp.isoformat(sep=" "), stamp.date().isoformat()]))),
+            "Verdict": draw(PADDED).format(draw(st.sampled_from("01"))),
+            "Cycle": draw(PADDED).format(cycle),
+            "CalcPrio": draw(st.sampled_from(["", "  ", repr(draw(st.floats(0, 1)))])),
+        }
+        # A column that a later one of the same name shadows holds a decoy,
+        # valid but different, or free text.
+        decoy = {"Id": str(test_id + 10), "Duration": "7.5", "Cycle": str(cycle + 5)}
+        rows.append([
+            value[name] if name in value and last[name] == i
+            else draw(st.sampled_from([decoy[name], draw(FREE_TEXT)])) if name in decoy
+            else draw(FREE_TEXT)
+            for i, name in enumerate(header)
+        ])
+
+    fault = draw(st.sampled_from([None, *FAULTS])) if rows else None
+    if fault == "duplicate" and len(rows) > 1:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                             unique=True))
+        for name in ("Id", "Cycle"):
+            rows[j][last[name]] = rows[i][last[name]]
+    elif fault == "duplicate":
+        fault = None
+    elif fault is not None:
+        name, text = FAULTS[fault]
+        rows[draw(st.integers(0, len(rows) - 1))][last[name]] = text
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k][: draw(st.integers(1, len(header) - 1))]
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+        if draw(st.booleans()):
+            out.write("\r\n")  # a blank line
+    schema = ColumnMapping(prio="CalcPrio") if draw(st.booleans()) else ColumnMapping()
+    return out.getvalue(), fault, schema
+
+
+def outcome(ingest, path, schema):
+    try:
+        cycles = ingest(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cycles, [tuple(c.records) for c in cycles]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=execution_logs())
+def test_ingest_matches_row_by_row_dictreader(tmp_path, log):
+    """The columnar ingest returns the cycles the DictReader loop returns, or
+    raises its exception with the same message (and row number)."""
+    text, fault, schema = log
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = outcome(dictreader_ingest, path, schema)
+    assert outcome(ingest_csv, path, schema) == expected
+    if fault is not None:
+        assert isinstance(expected[0], type), fault
 
 
 def random_cycles(rng: random.Random, with_prio=False):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ import pytest
 from testprio.augment import AugmentConfig
 from testprio.config import get_bool, get_float, load_config, parse_config
 from testprio.errors import InputError, InsufficientHistory, MissingPriorityColumn
-from testprio.history import CycleLog, Verdict, build_status_matrix
+from testprio.history import (
+    CycleLog,
+    ExecutionRecord,
+    Verdict,
+    build_status_matrix,
+    emit_csv,
+    ingest_csv,
+)
 from testprio.net import TrainConfig
 from testprio.pipeline import (
     ALL_STRATEGIES,
@@ -58,33 +66,93 @@ def tiny_result(tiny_cycles):
     return run_pipeline(tiny_plan(tiny_cycles))
 
 
+def per_record_status_matrix(cycles, window_len, as_of_cycle, include_tests):
+    """build_status_matrix as it was before it became a ReplayState snapshot:
+    one pass over every record, written out as the reference."""
+    history = [c for c in cycles if c.cycle_id <= as_of_cycle]
+    order, index = [], {}
+    for cycle in history:
+        for rec in cycle.records:
+            if rec.test_id not in index:
+                index[rec.test_id] = len(order)
+                order.append(rec.test_id)
+    for tid in include_tests:
+        if tid not in index:
+            index[tid] = len(order)
+            order.append(tid)
+    n = len(order)
+    statuses = np.full((n, window_len), -1, dtype=np.int8)
+    dur_sum, dur_count = np.zeros(n), np.zeros(n)
+    last_run = [None] * n
+    window_lo = as_of_cycle - window_len + 1
+    for cycle in history:
+        slot = cycle.cycle_id - window_lo
+        for rec in cycle.records:
+            i = index[rec.test_id]
+            if slot >= 0:
+                statuses[i, slot] = 1 if rec.failed else 0
+            dur_sum[i] += rec.duration_s
+            dur_count[i] += 1
+            if last_run[i] is None or rec.last_run > last_run[i]:
+                last_run[i] = rec.last_run
+    mean = np.divide(dur_sum, dur_count, out=np.zeros(n), where=dur_count > 0)
+    return tuple(order), statuses, mean, tuple(last_run)
+
+
 class TestReplayState:
     def test_matches_batch_matrix_builder(self):
-        """Incremental state equals a from-scratch matrix at any as-of point."""
+        """The incremental state and its snapshot, build_status_matrix, equal
+        a per-record rebuild at any as-of point, bit for bit."""
         rng = random.Random(55)
-        for _ in range(15):
+        for trial in range(40):
             cycles = random_cycles(rng)
+            if trial % 2:  # last-run stamps out of cycle order, with ties
+                cycles = [CycleLog(c.cycle_id, [
+                    replace(r, last_run=datetime(2016, 1, rng.randint(1, 4)))
+                    for r in c.records]) for c in cycles]
             ids = sorted({r.test_id for c in cycles for r in c.records})
+            extra = ids + [99, 98]
             window = rng.randint(1, 8)
-            as_of = rng.choice([c.cycle_id for c in cycles])
+            as_of = rng.choice([c.cycle_id for c in cycles]) + rng.choice([0, 0, 3])
+            order, statuses, mean, last_run = per_record_status_matrix(
+                cycles, window, as_of, extra)
+            snapshot = build_status_matrix(cycles, window, as_of_cycle=as_of,
+                                           include_tests=extra)
+            assert snapshot.test_ids == order
+            assert np.array_equal(snapshot.statuses, statuses)
+            assert np.array_equal(snapshot.mean_duration_s, mean)
+            assert snapshot.last_run == last_run
+
             state = ReplayState.from_cycles(cycles, window, as_of)
-            incremental = state.matrix_for(ids)
-            reference = build_status_matrix(
-                [c for c in cycles if c.cycle_id <= as_of], window,
-                as_of_cycle=as_of, include_tests=ids)
-            for tid in ids:
-                i = incremental.test_ids.index(tid)
-                j = reference.test_ids.index(tid)
-                assert np.array_equal(incremental.statuses[i], reference.statuses[j])
-                assert incremental.mean_duration_s[i] == pytest.approx(
-                    reference.mean_duration_s[j])
-                assert incremental.last_run[i] == reference.last_run[j]
+            incremental = state.matrix_for(order)
+            assert incremental.test_ids == order
+            assert np.array_equal(incremental.statuses, statuses)
+            assert np.array_equal(incremental.mean_duration_s, mean)
+            assert incremental.last_run == last_run
 
     def test_cannot_move_backwards(self):
         state = ReplayState(4)
         state.advance_to(5)
         with pytest.raises(ValueError):
             state.advance_to(3)
+
+
+def test_ingest_and_replay_build_no_execution_records(tmp_path, monkeypatch):
+    """The columnar history path never materializes per-row records."""
+    path = tmp_path / "log.csv"
+    emit_csv(generate_history(TINY, seed=3), path)
+    built = []
+    post_init = ExecutionRecord.__post_init__
+
+    def counting(self):
+        built.append(self.test_id)
+        post_init(self)
+
+    monkeypatch.setattr(ExecutionRecord, "__post_init__", counting)
+    cycles = ingest_csv(path)
+    result = run_pipeline(tiny_plan(cycles))
+    assert result.per_cycle
+    assert built == []
 
 
 class TestRunPipeline:
