@@ -330,7 +330,8 @@ def _parse_row(row: dict, rownum: int, schema: ColumnMapping, has_prio: bool) ->
     if duration < 0:
         raise NegativeDuration(rownum, duration)
     try:
-        last_run = parse_timestamp(row[schema.last_run])
+        # a row too short to reach LastRun holds None there
+        last_run = parse_timestamp(row[schema.last_run] or "")
     except (TypeError, ValueError):
         raise MalformedRow(rownum, f"bad timestamp {row.get(schema.last_run)!r}") from None
     verdict_raw = (row[schema.verdict] or "").strip()

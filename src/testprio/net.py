@@ -1,18 +1,23 @@
 """Small fully-connected regression network, implemented directly on numpy.
 
 Hidden layers use the Mish activation x * tanh(softplus(x)); the single
-output is linear. Every weight and bias lives in one flat float64 vector
-(``Network.params``); the per-layer ``weights`` and ``biases`` are views
-into it, so one Adam update moves all parameters at once.
+output is linear. tanh(softplus(x)) is computed with one ``exp``: for
+e = exp(x) and n = e * (e + 2) it equals n / (n + 2). Every weight and
+bias lives in one flat float64 vector (``Network.params``); the per-layer
+``weights`` and ``biases`` are views into it, so one Adam update moves all
+parameters at once.
 
 Training minimizes mean-squared error with Adam, full-batch or in shuffled
 mini-batches (``TrainConfig.batch_size``; the replay uses 128). The epoch
 loss is taken on the whole training set at the top of every epoch, before
 that epoch's updates, and training stops early once it drops below a
 configurable floor. A training forward pass caches tanh(softplus(z)) of
-each hidden layer for the backward pass; the full-set loss of mini-batch
-mode and ``predict`` keep no cache. Models serialize to a versioned
-plain-text format that round-trips bit-exactly.
+each hidden layer for the backward pass. The full-set loss of mini-batch
+mode and ``predict`` keep no cache: they run the layer chain over blocks
+of ``FORWARD_BLOCK_ROWS`` rows into one output vector, so their memory is
+a few block-sized buffers beyond that vector, whatever the row count.
+Models serialize to a versioned plain-text format that round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -39,10 +44,19 @@ MODEL_VERSION = "1"
 
 # --- activation -----------------------------------------------------------
 
-def _tanh_softplus(x):
-    """tanh(softplus(x)), softplus stable for large |x| via logaddexp."""
-    t = np.logaddexp(0.0, x, out=np.empty_like(x))
-    return np.tanh(t, out=t)
+# At z >= 20, n / (n + 2) is already 1.0 in float64; clipping there keeps
+# exp from overflowing into inf / inf.
+_EXP_CLIP = 20.0
+
+
+def _tanh_softplus(z):
+    """tanh(softplus(z)) as n / (n + 2) with e = exp(z), n = e * (e + 2)."""
+    e = np.minimum(z, _EXP_CLIP, out=np.empty_like(z))
+    np.exp(e, out=e)
+    n = np.add(e, 2.0, out=np.empty_like(e))
+    n *= e
+    np.add(n, 2.0, out=e)
+    return np.divide(n, e, out=e)
 
 
 def mish(x):
@@ -133,25 +147,34 @@ def xavier_init(dims: Sequence[int], rng: np.random.Generator) -> Network:
     return Network(dims, weights, biases)
 
 
-def _forward(net: Network, x: np.ndarray, keep: bool) -> tuple[np.ndarray, dict | None]:
-    """The layer chain. With ``keep``, also returns every layer's input,
-    each hidden pre-activation z and its tanh(softplus(z)); without it,
-    only the current layer is held."""
+# Rows per block of the no-cache forward pass. The matrix products compute
+# each output row from its input row alone, so blocking leaves every
+# prediction bit-equal to a full-set pass.
+FORWARD_BLOCK_ROWS = 4096
+
+
+def _as_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``x`` as a float64 2-d batch, and whether it was a single 1-d row."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     if x.shape[1] != net.input_dim:
         raise DimMismatch(x.shape[1], net.input_dim)
+    return x, squeeze
+
+
+def _chain(net: Network, a: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """The layer chain on a 2-d batch. With a ``cache``, appends every
+    layer's input, each hidden pre-activation z and its tanh(softplus(z));
+    without one, only the current layer is held."""
     last = len(net.weights) - 1
-    cache = {"activations": [x], "pre": [], "tanh_sp": []} if keep else None
-    a = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w
         z += b
         if i == last:
             a = z
-        elif keep:
+        elif cache is not None:
             t = _tanh_softplus(z)
             cache["pre"].append(z)
             cache["tanh_sp"].append(t)
@@ -159,19 +182,27 @@ def _forward(net: Network, x: np.ndarray, keep: bool) -> tuple[np.ndarray, dict 
         else:
             a = _tanh_softplus(z)
             a *= z
-        if keep:
+        if cache is not None:
             cache["activations"].append(a)
-    preds = a[:, 0]
-    return (preds[0] if squeeze else preds), cache
+    return a[:, 0]
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batch forward pass; returns predictions and the cache backward needs."""
-    return _forward(net, x, keep=True)
+    x, squeeze = _as_rows(net, x)
+    cache = {"activations": [x], "pre": [], "tanh_sp": []}
+    preds = _chain(net, x, cache)
+    return (preds[0] if squeeze else preds), cache
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    return _forward(net, x, keep=False)[0]
+    """Predictions without a cache, one block of rows at a time."""
+    x, squeeze = _as_rows(net, x)
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
+        rows = slice(start, start + FORWARD_BLOCK_ROWS)
+        out[rows] = _chain(net, x[rows])
+    return out[0] if squeeze else out
 
 
 def mse(preds: Sequence[float], labels: Sequence[float]) -> float:
@@ -295,7 +326,10 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
             # mini-batch updates need no full-set cache
-            preds, cache = _forward(net, X, keep=config.batch_size is None)
+            if config.batch_size is None:
+                preds, cache = forward(net, X)
+            else:
+                preds = predict(net, X)
             loss = mse(preds, y)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(

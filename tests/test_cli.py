@@ -61,6 +61,13 @@ def test_ingest_malformed_exits_2(tmp_path):
     assert main(["ingest", str(bad)]) == 2
 
 
+def test_ingest_short_row_exits_2(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_bytes(b"Id,Name,Duration,LastRun,Verdict,Cycle\r\n1,,0.0\r\n")
+    assert main(["ingest", str(bad)]) == 2
+    assert "row 2" in capsys.readouterr().err
+
+
 def test_label_writes_features(dataset, tmp_path):
     assert main(["label", str(dataset), "--out-dir", str(tmp_path)]) == 0
     vectors = load_features_csv(tmp_path / "features.csv")

@@ -83,6 +83,10 @@ class TestIngest:
         with pytest.raises(MalformedRow):
             ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,0\n"))
 
+    def test_short_row_without_last_run(self, tmp_path):
+        with pytest.raises(MalformedRow, match="row 2: bad timestamp None"):
+            ingest_csv(write(tmp_path, "1,,0.0\n"))
+
     def test_timestamp_formats(self, tmp_path):
         body = ("1,T1,1.0,2016-01-02,0,1\n"
                 "2,T2,1.0,2016-01-02 13:33:52,0,1\n"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from testprio.errors import (
 )
 from testprio.features import FeatureBounds
 from testprio.net import (
+    FORWARD_BLOCK_ROWS,
     AdamState,
     Network,
     SavedModel,
     TrainConfig,
+    _tanh_softplus,
     adam_step,
     backward,
     forward,
@@ -33,6 +36,19 @@ from testprio.net import (
 )
 
 from datetime import datetime
+
+
+def plain_tanh_softplus(x):
+    """tanh(softplus(x)) = n / (n + 2) with e = exp(x), n = e * (e + 2)."""
+    e = np.exp(np.minimum(x, 20.0))
+    n = e * (e + 2.0)
+    return n / (n + 2.0)
+
+
+def logaddexp_tanh_softplus(x):
+    """The previous activation kernel, the accuracy reference."""
+    with np.errstate(invalid="ignore"):
+        return np.tanh(np.logaddexp(0.0, x))
 
 
 class TestMish:
@@ -60,10 +76,34 @@ class TestMish:
 
     def test_bit_identical_to_the_plain_formulas(self):
         x = np.random.default_rng(12).normal(scale=6.0, size=5000)
-        t = np.tanh(np.logaddexp(0.0, x))
+        t = plain_tanh_softplus(x)
         sigmoid = 0.5 * (1.0 + np.tanh(0.5 * x))
         assert np.array_equal(mish(x), x * t)
         assert np.array_equal(mish_prime(x), t + x * (1.0 - t * t) * sigmoid)
+
+    def test_within_8_ulp_of_the_logaddexp_formula(self):
+        x = np.concatenate([np.linspace(-745.0, 60.0, 2_000_001),
+                            np.random.default_rng(13).normal(scale=6.0, size=200_000)])
+        ref = logaddexp_tanh_softplus(x)
+        t = _tanh_softplus(x)
+        normal = ref >= np.finfo(np.float64).tiny
+        ulps = np.abs(t[normal] - ref[normal]) / np.spacing(ref[normal])
+        assert ulps.max() <= 8.0, x[normal][ulps.argmax()]
+        # below tiny, where ulps are meaningless, at most one subnormal step
+        assert (~normal).any()
+        assert np.abs(t[~normal] - ref[~normal]).max() <= np.nextafter(0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0])
+    def test_special_values_match_the_logaddexp_formula(self, value):
+        x = np.array(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = _tanh_softplus(x)
+        ref = logaddexp_tanh_softplus(x)
+        assert np.array_equal(t, ref, equal_nan=True)
+        assert np.signbit(t) == np.signbit(ref)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(mish(value), value * ref, equal_nan=True)
 
 
 class TestXavierInit:
@@ -134,17 +174,31 @@ class TestForward:
         """predict holds one layer at a time; forward keeps every layer."""
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(0))
         X = np.random.default_rng(1).uniform(-1, 1, (20_000, 14))
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn(net, X)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        predict_peak, forward_peak = peak(predict), peak(forward)
+        predict_peak, forward_peak = traced_peak(predict, net, X), traced_peak(forward, net, X)
         assert predict_peak < 0.5 * forward_peak, (predict_peak, forward_peak)
+
+    def test_predict_memory_is_the_output_plus_block_buffers(self):
+        net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(0))
+        n = 200_000
+        X = np.random.default_rng(2).uniform(-1, 1, (n, 14))
+        block_buffer = FORWARD_BLOCK_ROWS * max(net.dims) * 8
+        # a layer-sized buffer alone, n x 20 float64, is 32 MB
+        assert traced_peak(predict, net, X) < n * 8 + 6 * block_buffer
+
+    def test_predict_equals_forward_across_a_partial_block(self):
+        net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(5))
+        X = np.random.default_rng(6).normal(scale=3.0, size=(2 * FORWARD_BLOCK_ROWS + 77, 14))
+        assert np.array_equal(predict(net, X), forward(net, X)[0])
+
+
+def traced_peak(fn, net, X):
+    """Peak bytes that tracemalloc sees allocated while ``fn(net, X)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(net, X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMse:
@@ -366,7 +420,7 @@ def plain_forward(weights, biases, x):
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
         pre.append(z)
-        a = z if i == last else z * np.tanh(np.logaddexp(0.0, z))
+        a = z if i == last else z * plain_tanh_softplus(z)
         activations.append(a)
     return a[:, 0], activations, pre
 
@@ -442,6 +496,21 @@ class TestBitIdentity:
         y = rng.uniform(size=90)
         config = TrainConfig(epochs_max=25, batch_size=batch_size, rng_seed=11)
         start = xavier_init(dims, np.random.default_rng(4))
+        weights, biases, epoch_mse = plain_train(start, X, y, config)
+        result = train(start.copy(), X, y, config)
+        assert result.epoch_mse == epoch_mse
+        assert all(np.array_equal(a, b) for a, b in zip(result.net.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(result.net.biases, biases))
+
+    def test_mini_batch_loss_over_several_blocks_matches_plain_forward(self):
+        """The epoch-top loss of mini-batch mode runs block by block; it must
+        equal the loss of one plain full-set forward pass."""
+        rng = np.random.default_rng(47)
+        n = 2 * FORWARD_BLOCK_ROWS + 123
+        X = rng.uniform(-1, 1, (n, 14))
+        y = rng.uniform(size=n)
+        config = TrainConfig(epochs_max=3, batch_size=1024, rng_seed=12)
+        start = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(8))
         weights, biases, epoch_mse = plain_train(start, X, y, config)
         result = train(start.copy(), X, y, config)
         assert result.epoch_mse == epoch_mse
