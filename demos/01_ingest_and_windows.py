@@ -31,12 +31,14 @@ print(f"\nfirst record: test {first.test_id} ({first.test_name}) ran "
 
 # The matrix view: last 10 outcomes per test, most recent last.
 # +1 = failed, 0 = passed, -1 = not executed in that cycle.
+# last_run holds int64 microseconds since 1970-01-01, which numpy reads as dates.
 matrix = build_status_matrix(parsed, window_len=10)
+last_day = matrix.last_run.astype("datetime64[us]").astype("datetime64[D]")
 print(f"\nstatus windows as of cycle {parsed[-1].cycle_id}:")
 print("test  window(oldest..newest)        mean_s   last_run")
 for i, tid in enumerate(matrix.test_ids[:8]):
     window = " ".join(f"{s:+d}" for s in matrix.statuses[i])
-    print(f"{tid:>4}  {window}  {matrix.mean_duration_s[i]:7.2f}   {matrix.last_run[i]:%Y-%m-%d}")
+    print(f"{tid:>4}  {window}  {matrix.mean_duration_s[i]:7.2f}   {last_day[i]}")
 print("...")
 
 # Narrower windows are suffixes of wider ones; padding is always -1 on the

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import DERIVED_FEATURES, FeatureVector, stack
 from .history import FAIL, NOT_RUN
 
 logger = logging.getLogger(__name__)
@@ -169,7 +169,9 @@ def augment(vectors: Sequence[FeatureVector], config: AugmentConfig) -> list[Fea
 
 
 def fail_ratio(vectors: Sequence[FeatureVector]) -> float:
+    """Share of split_bins' fail bin, counted with one mask on the window columns."""
     if not vectors:
         return 0.0
-    bin_failed, _ = split_bins(vectors)
-    return len(bin_failed) / len(vectors)
+    window = stack(vectors)[0][:, :-DERIVED_FEATURES]
+    last = window.shape[1] - 1 - np.argmax(window[:, ::-1] != NOT_RUN, axis=1)  # last executed
+    return int((window[np.arange(len(window)), last] == FAIL).sum()) / len(window)

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedRow, MissingColumn, OutOfRange, WindowLenMismatch
-from .history import DEFAULT_WINDOW, NOT_RUN, PASS, FAIL, StatusMatrix
+from .history import (DEFAULT_WINDOW, FAIL, NEVER_RAN, NOT_RUN, PASS, StatusMatrix,
+                      from_epoch_us, to_epoch_us)
 
 DERIVED_FEATURES = 4  # duration, last run, distance, change-in-status
 
@@ -54,12 +55,12 @@ class FeatureBounds:
 
 def bounds_from_matrix(matrix: StatusMatrix) -> FeatureBounds:
     durs = matrix.mean_duration_s
-    stamps = [ts for ts in matrix.last_run if ts is not None]
+    stamps = matrix.last_run[matrix.last_run != NEVER_RAN]
     return FeatureBounds(
         duration_min=float(durs.min()) if len(durs) else 0.0,
         duration_max=float(durs.max()) if len(durs) else 0.0,
-        lastrun_earliest=min(stamps) if stamps else None,
-        lastrun_latest=max(stamps) if stamps else None,
+        lastrun_earliest=from_epoch_us(stamps.min()) if len(stamps) else None,
+        lastrun_latest=from_epoch_us(stamps.max()) if len(stamps) else None,
     )
 
 
@@ -96,22 +97,6 @@ def _encode_last_run_clipped(ts: datetime | None, bounds: FeatureBounds) -> floa
     return float(min(1.0, max(0.0, x)))
 
 
-def _last_run_column(last_run: Sequence[datetime | None], bounds: FeatureBounds) -> np.ndarray:
-    """_encode_last_run_clipped of every timestamp, with the same arithmetic."""
-    out = np.zeros(len(last_run))
-    earliest, latest = bounds.lastrun_earliest, bounds.lastrun_latest
-    if earliest is None or latest is None:
-        return out
-    seen = np.array([ts is not None for ts in last_run], dtype=bool)
-    if earliest == latest:
-        out[seen] = 0.5
-        return out
-    span = (latest - earliest).total_seconds()
-    elapsed = np.array([(ts - earliest).total_seconds() for ts in last_run if ts is not None])
-    out[seen] = np.clip(elapsed / span, 0.0, 1.0)
-    return out
-
-
 def distance(window: Sequence[int]) -> int:
     """Absolute swing between the oldest and newest raw status code."""
     if len(window) == 0:
@@ -142,15 +127,6 @@ class FeatureSet(Sequence[FeatureVector]):
         for array in (X, labels):
             if array is not None:
                 array.flags.writeable = False
-
-    @classmethod
-    def concat(cls, sets: Sequence["FeatureSet"]) -> "FeatureSet":
-        """One set of every row of ``sets``, in order."""
-        labels = None
-        if all(s.labels is not None for s in sets):
-            labels = np.concatenate([s.labels for s in sets])
-        return cls(np.concatenate([s.X for s in sets]),
-                   [tid for s in sets for tid in s.test_ids], labels)
 
     def with_labels(self, labels: np.ndarray) -> "FeatureSet":
         return FeatureSet(self.X, self.test_ids, labels)
@@ -226,7 +202,12 @@ def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
         dur = np.full(n, 0.5)
     else:
         dur = np.clip((matrix.mean_duration_s - bounds.duration_min) / span, 0.0, 1.0)
-    lastrun = _last_run_column(matrix.last_run, bounds)
+    lastrun, stamps = np.zeros(n), matrix.last_run
+    if bounds.lastrun_earliest is not None and bounds.lastrun_latest is not None:
+        # Bit-equal to the datetime arithmetic: total_seconds() is microseconds / 10**6.
+        lo, hi = to_epoch_us(bounds.lastrun_earliest), to_epoch_us(bounds.lastrun_latest)
+        seen, span = stamps != NEVER_RAN, (hi - lo) / 1e6
+        lastrun[seen] = np.clip((stamps[seen] - lo) / 1e6 / span, 0.0, 1.0) if span else 0.5
 
     swing = np.abs(statuses[:, -1] - statuses[:, 0])
     flips = np.zeros(n)

@@ -4,9 +4,9 @@ The raw input is a per-execution log. Each row records one run of one test
 in one CI cycle; a test that did not run in a cycle simply has no row
 there. The log is held as columns: each ``CycleLog`` keeps its rows' test
 ids, names, verdicts, durations, last-run timestamps and optional
-priorities side by side, in file order. ``ExecutionRecord`` objects are
-built only for callers that read ``CycleLog.records`` or construct a cycle
-from records.
+priorities side by side, in file order, with last-run stamps as int64
+epoch microseconds. ``ExecutionRecord`` objects, with datetimes, are built
+only for callers that read ``CycleLog.records`` or construct a cycle from records.
 
 ``ReplayState`` is the one window builder. It folds cycles in one at a
 time, a few array operations per cycle, into per-test status windows where
@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -44,9 +45,22 @@ NOT_RUN = -1
 
 DEFAULT_WINDOW = 10
 
-# Rows parsed per chunk by ingest_csv. Only one chunk's per-row lists are
-# alive at a time, which keeps the cyclic garbage collector's passes short.
+NEVER_RAN = np.iinfo(np.int64).min  # last_run of a test with no execution yet
+_EPOCH, _UTC_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+# Rows parsed per chunk by ingest_csv. Only one chunk's rows are alive at a
+# time, which keeps the cyclic garbage collector's passes short, and each
+# chunk's ids, durations, stamps and cycles become arrays at once.
 INGEST_CHUNK_ROWS = 1024
+
+
+def to_epoch_us(ts: datetime) -> int:
+    """Microseconds since 1970-01-01; an aware stamp counts as its UTC time."""
+    return (ts - (_EPOCH if ts.utcoffset() is None else _UTC_EPOCH)) // timedelta(microseconds=1)
+
+
+def from_epoch_us(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=int(us))
 
 
 class Verdict(Enum):
@@ -81,9 +95,9 @@ class ExecutionRecord:
 class CycleLog:
     """All executions of a single CI cycle, in stable input order, as columns.
 
-    ``test_ids``, ``names``, ``last_run`` (datetimes) and ``prio`` (float or
-    None) are tuples; ``failed`` (bool) and ``duration_s`` (float64) are
-    read-only arrays. ``CycleLog(cycle_id, records)`` validates and splits
+    ``test_ids``, ``names`` and ``prio`` (float or None) are tuples; ``failed``
+    (bool), ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds)
+    are read-only arrays. ``CycleLog(cycle_id, records)`` validates and splits
     records into columns; ``records`` builds them back when read.
     """
 
@@ -92,7 +106,7 @@ class CycleLog:
     names: tuple
     failed: np.ndarray
     duration_s: np.ndarray
-    last_run: tuple
+    last_run: np.ndarray
     prio: tuple
 
     def __init__(self, cycle_id: int, records: Iterable[ExecutionRecord]):
@@ -113,7 +127,7 @@ class CycleLog:
             tuple(r.test_name for r in records),
             [r.failed for r in records],
             [r.duration_s for r in records],
-            tuple(r.last_run for r in records),
+            [to_epoch_us(r.last_run) for r in records],
             tuple(r.prio for r in records),
         )
 
@@ -127,7 +141,8 @@ class CycleLog:
     def _set_columns(self, cycle_id, test_ids, names, failed, duration_s, last_run, prio):
         failed = np.asarray(failed, dtype=bool)
         duration_s = np.asarray(duration_s, dtype=np.float64)
-        failed.flags.writeable = duration_s.flags.writeable = False
+        last_run = np.asarray(last_run, dtype=np.int64)
+        failed.flags.writeable = duration_s.flags.writeable = last_run.flags.writeable = False
         values = (cycle_id, test_ids, names, failed, duration_s, last_run, prio)
         for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
@@ -141,7 +156,7 @@ class CycleLog:
             test_id=self.test_ids[i],
             test_name=self.names[i],
             duration_s=float(self.duration_s[i]),
-            last_run=self.last_run[i],
+            last_run=from_epoch_us(self.last_run[i]),
             verdict=Verdict.FAILED if self.failed[i] else Verdict.PASSED,
             cycle_id=self.cycle_id,
             prio=self.prio[i],
@@ -150,15 +165,8 @@ class CycleLog:
     def __eq__(self, other):
         if not isinstance(other, CycleLog):
             return NotImplemented
-        return (
-            self.cycle_id == other.cycle_id
-            and self.test_ids == other.test_ids
-            and self.names == other.names
-            and np.array_equal(self.failed, other.failed)
-            and np.array_equal(self.duration_s, other.duration_s)
-            and self.last_run == other.last_run
-            and self.prio == other.prio
-        )
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in self.__dataclass_fields__)
 
 
 class _Records(SequenceABC):
@@ -203,6 +211,22 @@ DEFAULT_COLUMNS = ColumnMapping()
 def parse_timestamp(text: str) -> datetime:
     """Accepts YYYY-MM-DD and YYYY-MM-DD HH:MM:SS (fractional seconds ok)."""
     return datetime.fromisoformat(text.strip())
+
+
+_STAMP_SHAPES = {b"0000-00-00 00:00:00.000000"[:w] for w in (10, 16, 19, *range(21, 27))}
+_SHAPE_OF = bytes.maketrans(b"0123456789T", b"0000000000 ")  # "0": any digit; " ": also "T"
+
+
+def _parse_stamps(texts: Sequence[str]) -> np.ndarray:
+    """Epoch microseconds of LastRun fields, parsed by numpy. numpy also reads what
+    fromisoformat rejects ("NaT", "2016", "20160101", year 0) and moves UTC offsets, so
+    a field not of _STAMP_SHAPES raises ValueError: the row-by-row path takes it."""
+    shapes = "\n".join(texts).encode().translate(_SHAPE_OF).split(b"\n")
+    if len(shapes) == len(texts) and _STAMP_SHAPES.issuperset(shapes):
+        stamps = np.array(texts, dtype="datetime64[us]")
+        if stamps.min() >= np.datetime64("0001-01-01"):
+            return stamps.view(np.int64)
+    raise ValueError("a LastRun stamp numpy may misread")
 
 
 def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> list[CycleLog]:
@@ -254,20 +278,20 @@ def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
         del chunk
         if len(columns) <= max(at):  # some row is too short to hold every field
             return None
-        ids += map(int, columns[at[0]])
-        names += columns[at[1]]
-        durations += map(float, columns[at[2]])
-        stamps += map(datetime.fromisoformat, map(str.strip, columns[at[3]]))
+        ids.append(np.fromiter(map(int, columns[at[0]]), np.int64, len(columns[0])))
+        names += map(sys.intern, columns[at[1]])
+        durations.append(np.fromiter(map(float, columns[at[2]]), np.float64, len(columns[0])))
+        stamps.append(_parse_stamps(columns[at[3]]))
         verdicts += map(str.strip, columns[at[4]])
-        cycle_ids += map(int, columns[at[5]])
+        cycle_ids.append(np.fromiter(map(int, columns[at[5]]), np.int64, len(columns[0])))
         if has_prio:
             prios += [float(p) if p else None for p in map(str.strip, columns[at[6]])]
-    n = len(ids)
+    n = len(names)
     if not n:
         return []
-    duration = np.array(durations, dtype=np.float64)
-    cycle = np.array(cycle_ids, dtype=np.int64)
-    id_array = np.array(ids, dtype=np.int64)
+    duration, cycle = np.concatenate(durations), np.concatenate(cycle_ids)
+    distinct_ids, id_at = np.unique(np.concatenate(ids), return_inverse=True)
+    shared_ids = np.array(distinct_ids.tolist(), dtype=object)
     if (
         not set(verdicts) <= {"0", "1"}
         or not np.isfinite(duration).all()
@@ -277,7 +301,7 @@ def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
         return None
     failed = np.fromiter(map("1".__eq__, verdicts), dtype=bool, count=n)
     names = np.fromiter(names, dtype=object, count=n)
-    stamps = np.fromiter(stamps, dtype=object, count=n)
+    stamps = np.concatenate(stamps)
     prios = np.fromiter(prios, dtype=object, count=n) if has_prio else None
 
     order = np.argsort(cycle, kind="stable")
@@ -286,7 +310,7 @@ def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
         rows_at = order[lo:hi]
-        test_ids = tuple(id_array[rows_at].tolist())
+        test_ids = tuple(shared_ids[id_at[rows_at]].tolist())
         if len(set(test_ids)) < len(test_ids):
             return None  # a duplicate (id, cycle)
         out.append(CycleLog._from_columns(
@@ -295,7 +319,7 @@ def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
             tuple(names[rows_at].tolist()),
             failed[rows_at],
             duration[rows_at],
-            tuple(stamps[rows_at].tolist()),
+            stamps[rows_at],
             tuple(prios[rows_at].tolist()) if has_prio else (None,) * len(test_ids),
         ))
     return out
@@ -306,8 +330,13 @@ def _ingest_rows(reader: csv.DictReader, schema: ColumnMapping,
     """ingest_csv one row at a time: raises the first bad row's error."""
     by_cycle: dict[int, list[ExecutionRecord]] = {}
     seen: set[tuple[int, int]] = set()
+    first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
     for rownum, row in enumerate(reader, start=2):
         rec = _parse_row(row, rownum, schema, has_prio)
+        first_of_kind.setdefault(rec.last_run.utcoffset() is not None, rownum)
+        if len(first_of_kind) == 2:
+            raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
+                                       f"{min(first_of_kind.values())}'s in having a UTC offset")
         key = (rec.test_id, rec.cycle_id)
         if key in seen:
             raise DuplicateExecution(rec.test_id, rec.cycle_id)
@@ -364,7 +393,8 @@ def _parse_row(row: dict, rownum: int, schema: ColumnMapping, has_prio: bool) ->
 
 def emit_csv(cycles: Iterable[CycleLog], path: str | Path,
              schema: ColumnMapping = DEFAULT_COLUMNS) -> None:
-    """Write cycles back out in the ingestible CSV format (lossless)."""
+    """Write cycles back out in the ingestible CSV format (lossless up to UTC offsets:
+    a stamp that had one is written as its UTC time)."""
     header = list(schema.required())
     if schema.prio is not None:
         header.append(schema.prio)
@@ -373,14 +403,14 @@ def emit_csv(cycles: Iterable[CycleLog], path: str | Path,
         writer.writerow(header)
         for cycle in cycles:
             for tid, name, duration, stamp, failed, prio in zip(
-                cycle.test_ids, cycle.names, cycle.duration_s.tolist(), cycle.last_run,
+                cycle.test_ids, cycle.names, cycle.duration_s.tolist(), cycle.last_run.tolist(),
                 cycle.failed.tolist(), cycle.prio,
             ):
                 row = [
                     tid,
                     name,
                     repr(duration),
-                    stamp.isoformat(sep=" "),
+                    from_epoch_us(stamp).isoformat(sep=" "),
                     "1" if failed else "0",
                     cycle.cycle_id,
                 ]
@@ -397,14 +427,14 @@ class StatusMatrix:
     ``test_ids[i]``, most recent last, padded with -1 where the test did
     not run (or history is shorter than the window). ``mean_duration_s``
     averages over executed cycles only; a never-executed test gets 0 and a
-    ``last_run`` of None.
+    ``last_run`` of NEVER_RAN.
     """
 
     test_ids: tuple
     window_len: int
     statuses: np.ndarray  # (n_tests, window_len) int8
     mean_duration_s: np.ndarray  # (n_tests,) float64
-    last_run: tuple  # datetime | None per test
+    last_run: np.ndarray  # (n_tests,) int64 epoch microseconds, or NEVER_RAN
 
     def __post_init__(self):
         n = len(self.test_ids)
@@ -437,7 +467,7 @@ class ReplayState:
         self.statuses = np.empty((0, window_len), dtype=np.int8)
         self.dur_sum = np.empty(0)
         self.dur_count = np.empty(0)
-        self.last_run = np.empty(0, dtype=object)  # datetime, None until a test runs
+        self.last_run = np.empty(0, dtype=np.int64)  # epoch us; NEVER_RAN until a test runs
         self.cycle = 0  # cycle id the last window slot corresponds to
 
     @classmethod
@@ -462,7 +492,7 @@ class ReplayState:
         self.statuses = np.vstack([self.statuses, pad])
         self.dur_sum = np.concatenate([self.dur_sum, np.zeros(len(fresh))])
         self.dur_count = np.concatenate([self.dur_count, np.zeros(len(fresh))])
-        self.last_run = np.concatenate([self.last_run, np.full(len(fresh), None, dtype=object)])
+        self.last_run = np.concatenate([self.last_run, np.full(len(fresh), NEVER_RAN)])
 
     def _rows(self, test_ids: tuple) -> np.ndarray:
         self.ensure_rows(test_ids)
@@ -488,12 +518,7 @@ class ReplayState:
         self.advance_to(cycle.cycle_id)
         self.statuses[rows, -1] = cycle.failed
         self.dur_sum[rows] += cycle.duration_s
-        # The latest stamp wins; a tie keeps the stamp already held.
-        stamps = np.fromiter(cycle.last_run, dtype=object, count=len(rows))
-        later = self.dur_count[rows] == 0
-        seen = ~later
-        later[seen] = stamps[seen] > self.last_run[rows[seen]]
-        self.last_run[rows[later]] = stamps[later]
+        self.last_run[rows] = np.maximum(self.last_run[rows], cycle.last_run)  # the latest wins
         self.dur_count[rows] += 1
 
     def matrix_for(self, test_ids) -> StatusMatrix:
@@ -506,7 +531,7 @@ class ReplayState:
             window_len=self.window_len,
             statuses=self.statuses[rows],
             mean_duration_s=mean,
-            last_run=tuple(self.last_run[rows].tolist()),
+            last_run=self.last_run[rows],
         )
 
 

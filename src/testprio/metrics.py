@@ -108,7 +108,7 @@ def regression_accuracy(preds: Sequence[float], labels: Sequence[float]) -> Regr
     residuals = preds - labels
     mse = float(residuals @ residuals / residuals.size)
     ss_tot = float(np.sum((labels - labels.mean()) ** 2))
-    r_squared = None if ss_tot == 0.0 else 1.0 - (residuals @ residuals) / ss_tot
+    r_squared = None if ss_tot == 0.0 else float(1.0 - (residuals @ residuals) / ss_tot)
     return RegressionAccuracy(mse, r_squared, float(residuals.std()))
 
 

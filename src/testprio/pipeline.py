@@ -168,12 +168,15 @@ def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: Weight
     from; the same construction (on post-cut cycles) yields held-out pairs.
     """
     state = ReplayState(window_len)
-    sets = []
+    ids = [tid for cycle in cycles for tid in cycle.test_ids]
+    X, y = np.empty((len(ids), window_len + 4)), np.empty(len(ids))
+    end = 0
     for cycle in cycles:
         state.ingest(cycle)
-        matrix = state.matrix_for(cycle.test_ids)
-        sets.append(label_dataset(matrix, scheme, bounds=bounds))
-    return FeatureSet.concat(sets)
+        labeled = label_dataset(state.matrix_for(cycle.test_ids), scheme, bounds=bounds)
+        start, end = end, end + len(labeled)
+        X[start:end], y[start:end] = labeled.X, labeled.labels
+    return FeatureSet(X, ids, y)
 
 
 def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan

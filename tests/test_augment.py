@@ -14,7 +14,7 @@ from testprio.augment import (
     smoter_interpolate,
     split_bins,
 )
-from testprio.features import FeatureVector
+from testprio.features import FeatureSet, FeatureVector
 
 
 def vec(test_id, window, duration=0.5, lastrun=0.5, label=0.5):
@@ -142,6 +142,20 @@ def population(n_failed, n_passed, rng):
                            label=0.2 * rng.random()))
     rng.shuffle(vectors)
     return vectors
+
+
+def test_fail_ratio_counts_the_split_bins_fail_bin():
+    """fail_ratio's one mask on the window columns of a FeatureSet counts what
+    split_bins' per-vector walk puts in the fail bin."""
+    rng = np.random.default_rng(6)
+    for n in (1, 7, 200):
+        windows = rng.choice([-1, 0, 1], size=(n, 10), p=[0.5, 0.4, 0.1])
+        windows[rng.random(n) < 0.2] = -1  # rows that never ran
+        X = np.column_stack([windows, rng.random((n, 4))])
+        vectors = FeatureSet(X, list(range(n)), rng.random(n))
+        expected = len(split_bins(list(vectors))[0]) / n
+        assert fail_ratio(vectors) == expected == fail_ratio(list(vectors))
+    assert fail_ratio(FeatureSet(np.empty((0, 14)), [])) == 0.0
 
 
 class TestAugment:

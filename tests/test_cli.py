@@ -5,7 +5,7 @@ import pytest
 from testprio.cli import main
 from testprio.features import load_features_csv
 from testprio.history import ColumnMapping, emit_csv
-from testprio.simulate import SuiteProfile, generate_history
+from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
 
 SMALL = SuiteProfile(
     name="small", n_tests=12, n_cycles=30, participation=0.8,
@@ -158,6 +158,26 @@ def test_replay_end_to_end(dataset, fast_config, tmp_path, capsys):
     assert (tmp_path / "per_cycle.csv").exists()
     assert (tmp_path / "aggregate.csv").exists()
     assert (tmp_path / "timings.csv").exists()
+
+
+def test_replay_holdout_csv_holds_numbers(fast_config, tmp_path):
+    log = tmp_path / "paint.csv"
+    emit_csv(generate_history(PAINT_CONTROL_LIKE, seed=42), log)
+    assert main(["replay", str(log), "--config", str(fast_config), "--seed", "42",
+                 "--out-dir", str(tmp_path), "--strategies", "deeporder"]) == 0
+    header, row = (tmp_path / "holdout.csv").read_text().splitlines()
+    assert header == "mse,r_squared,residual_std"
+    assert len([float(field) for field in row.split(",")]) == 3
+
+
+def test_replay_mixed_offset_kinds_exits_2(tmp_path, capsys):
+    bad = tmp_path / "mixed.csv"
+    bad.write_text("Id,Name,Duration,LastRun,Verdict,Cycle\n"
+                   + "".join(f"{t},T{t},1.0,2016-01-0{c} 09:00:00,{t % 2},{c}\n"
+                             for c in (1, 2, 3) for t in (1, 2))
+                   + "1,T1,1.0,2016-01-04 09:00:00+01:00,0,4\n")
+    assert main(["replay", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "row 8" in capsys.readouterr().err
 
 
 def test_replay_unknown_strategy_exits_2(dataset, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 
 from testprio.errors import OutOfRange, WindowLenMismatch
 from testprio.features import (
-    FeatureSet,
     FeatureVector,
     _encode_last_run_clipped,
     bounds_from_matrix,
@@ -22,7 +21,7 @@ from testprio.features import (
     normalize_duration,
     stack,
 )
-from testprio.history import build_status_matrix
+from testprio.history import NEVER_RAN, build_status_matrix, from_epoch_us
 from testprio.rocket import label_dataset, linear_weights
 
 from conftest import cycles_from
@@ -160,12 +159,13 @@ class TestExtract:
                 expected = np.array([
                     [*window,
                      normalize_duration(dur, bounds.duration_min, bounds.duration_max),
-                     _encode_last_run_clipped(ts, bounds),
+                     _encode_last_run_clipped(None if us == NEVER_RAN else from_epoch_us(us),
+                                              bounds),
                      distance(window),
                      change_in_status(window)]
-                    for window, dur, ts in zip(matrix.statuses.tolist(),
+                    for window, dur, us in zip(matrix.statuses.tolist(),
                                                matrix.mean_duration_s.tolist(),
-                                               matrix.last_run)
+                                               matrix.last_run.tolist())
                 ])
                 assert np.array_equal(feature_matrix(matrix, bounds), expected)
 
@@ -199,11 +199,6 @@ class TestFeatureSet:
             X[0, 0] = 5.0
         with pytest.raises(ValueError):
             y[0] = 5.0
-
-    def test_concat_keeps_row_order(self, tiny_history):
-        a = label_dataset(build_status_matrix(tiny_history[:3], 10), linear_weights(10))
-        b = label_dataset(build_status_matrix(tiny_history, 10), linear_weights(10))
-        assert list(FeatureSet.concat([a, b])) == list(a) + list(b)
 
 
 def test_features_csv_round_trip(tmp_path, tiny_history):

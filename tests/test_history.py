@@ -3,7 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -19,15 +19,20 @@ from testprio.errors import (
     NegativeDuration,
 )
 from testprio.history import (
+    NEVER_RAN,
     ColumnMapping,
     CycleLog,
     ExecutionRecord,
     Verdict,
     _parse_row,
+    _parse_stamps,
     build_status_matrix,
     emit_csv,
     ingest_csv,
+    to_epoch_us,
 )
+
+from testprio.features import feature_matrix
 
 from conftest import cycles_from, rec
 
@@ -300,7 +305,7 @@ class TestStatusMatrix:
         row = matrix.statuses[matrix.test_ids.index(99)]
         assert row.tolist() == [-1] * 10
         assert matrix.mean_duration_s[matrix.test_ids.index(99)] == 0.0
-        assert matrix.last_run[matrix.test_ids.index(99)] is None
+        assert matrix.last_run[matrix.test_ids.index(99)] == NEVER_RAN
 
     def test_mean_duration(self):
         cycles = cycles_from([(1, 1, False, 4.0), (1, 2, False, 6.0)])
@@ -316,7 +321,7 @@ class TestStatusMatrix:
     def test_last_run_is_most_recent(self, tiny_history):
         matrix = build_status_matrix(tiny_history, window_len=10)
         i = matrix.test_ids.index(1)
-        assert matrix.last_run[i] == rec(1, 5).last_run
+        assert matrix.last_run[i] == to_epoch_us(rec(1, 5).last_run)
 
     def test_empty_history(self, tiny_history):
         with pytest.raises(EmptyHistory):
@@ -363,3 +368,92 @@ class TestStatusMatrix:
             assert np.array_equal(ma.statuses[ia], mb.statuses[ib])
             assert ma.mean_duration_s[ia] == pytest.approx(mb.mean_duration_s[ib])
             assert ma.last_run[ia] == mb.last_run[ib]
+
+
+# --- the int64 time axis ----------------------------------------------------------
+
+
+def stamp_text(ts: datetime, shape: str) -> str:
+    if shape == "date":
+        return ts.date().isoformat()
+    sep = "T" if shape.startswith("T") else " "
+    if shape.endswith("minutes"):
+        return ts.isoformat(sep=sep, timespec="minutes")
+    if shape.endswith("seconds"):
+        return ts.isoformat(sep=sep, timespec="seconds")
+    digits = int(shape[-1])  # "...fraction<k>": k fractional digits
+    return ts.isoformat(sep=sep, timespec="microseconds")[: 20 + digits]
+
+
+STAMP_SHAPES = ["date", " minutes", "Tminutes", " seconds", "Tseconds",
+                *(f"{sep}fraction{k}" for sep in " T" for k in range(1, 7))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)),
+                          st.sampled_from(STAMP_SHAPES)), min_size=1, max_size=40))
+def test_bulk_stamps_equal_fromisoformat(stamps):
+    """numpy's bulk parse gives what datetime.fromisoformat gives, in epoch
+    microseconds, for every shape the bulk path accepts, widths mixed."""
+    texts = [stamp_text(ts, shape) for ts, shape in stamps]
+    expected = [to_epoch_us(datetime.fromisoformat(t)) for t in texts]
+    assert _parse_stamps(texts).tolist() == expected
+
+
+@pytest.mark.parametrize("text", ["2016-01-05 10:00:00+01:00", "2016-01-05T09:00:00Z",
+                                  " 2016-01-05", "2016-01-05 \t", "2016-01-05t09:00:00",
+                                  "20160105", "2016-01-05 09:00:00,5"])
+def test_stamps_numpy_may_misread_take_the_row_path(tmp_path, text):
+    """An offset, padding or another ISO form leaves the bulk path, and the
+    row-by-row path gives fromisoformat's value, an aware one in UTC."""
+    with pytest.raises(ValueError):
+        _parse_stamps(["2016-01-04", text])
+    cycles = ingest_csv(write(tmp_path, f'1,T1,1.0,"{text}",0,1\n'))
+    assert cycles[0].last_run[0] == to_epoch_us(datetime.fromisoformat(text.strip()))
+
+
+@pytest.mark.parametrize("text", ["NaT", "today", "2016", "2016-01", "0000-01-01",
+                                  "+2016-01-05", "2016-01-05 00:00:00.", "10000-01-01"])
+def test_stamps_only_numpy_reads_are_rejected(tmp_path, text):
+    with pytest.raises(ValueError):
+        _parse_stamps([text])
+    with pytest.raises(MalformedRow, match="row 3: bad timestamp"):
+        ingest_csv(write(tmp_path, f"1,T1,1.0,2016-01-04,0,1\n2,T2,1.0,{text},0,1\n"))
+
+
+def test_mixed_offset_kinds_rejected_at_the_first_differing_row(tmp_path):
+    body = ("1,T1,1.0,2016-01-04 09:00:00,0,1\n"
+            "2,T2,1.0,2016-01-04 10:00:00,0,1\n"
+            "1,T1,1.0,2016-01-05 09:00:00+02:00,0,2\n"
+            "2,T2,1.0,2016-01-05 10:00:00,0,2\n")
+    with pytest.raises(MalformedRow, match="row 4: .*row 2.*UTC offset"):
+        ingest_csv(write(tmp_path, body))
+
+
+def test_offset_stamps_give_the_features_of_their_utc_times(tmp_path):
+    """A log whose stamps all carry offsets scales LastRun by UTC differences,
+    as the naive log of the same UTC times does."""
+    rng = random.Random(21)
+    cycles = random_cycles(rng)
+    zones = [timezone(timedelta(hours=h)) for h in (-5, 0, 2, 9)]
+    aware_path, naive_path = tmp_path / "aware.csv", tmp_path / "naive.csv"
+    emit_csv(cycles, naive_path)
+    aware_path.write_text(HEADER + "".join(
+        f"{r.test_id},{r.test_name},{r.duration_s!r},"
+        f"{r.last_run.replace(tzinfo=timezone.utc).astimezone(rng.choice(zones))},"
+        f"{int(r.failed)},{r.cycle_id}\n"
+        for c in cycles for r in c.records))
+    aware = build_status_matrix(ingest_csv(aware_path), 10)
+    naive = build_status_matrix(ingest_csv(naive_path), 10)
+    assert np.array_equal(aware.last_run, naive.last_run)
+    assert np.array_equal(feature_matrix(aware), feature_matrix(naive))
+
+
+def test_an_ingested_log_holds_one_object_per_distinct_name_and_id(tmp_path):
+    rows = [(100_000 + t, c, t % 3 == 0) for c in range(1, 9) for t in range(25)]
+    emit_csv(cycles_from(rows), tmp_path / "log.csv")
+    cycles = ingest_csv(tmp_path / "log.csv")
+    for column in ("test_ids", "names"):
+        values = [v for c in cycles for v in getattr(c, column)]
+        assert len(values) == 200
+        assert len({id(v) for v in values}) == len(set(values)) == 25

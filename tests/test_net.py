@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -14,7 +15,8 @@ from testprio.errors import (
     NonFiniteLoss,
     SchemaVersionMismatch,
 )
-from testprio.features import FeatureBounds
+from testprio.features import FeatureBounds, bounds_from_matrix
+from testprio.history import build_status_matrix
 from testprio.net import (
     FORWARD_BLOCK_ROWS,
     AdamState,
@@ -36,6 +38,8 @@ from testprio.net import (
 )
 
 from datetime import datetime
+
+from test_history import random_cycles
 
 
 def plain_tanh_softplus(x):
@@ -373,6 +377,17 @@ class TestSerialization:
         assert loaded.bounds == BOUNDS
         assert loaded.weight_scheme == "linear"
         assert loaded.rng_seed == 8
+
+    def test_lastrun_bounds_line_survives_save_load_save(self, tmp_path):
+        cycles = random_cycles(random.Random(17))
+        bounds = bounds_from_matrix(build_status_matrix(cycles, 10))
+        model = SavedModel(xavier_init((14, 10, 1), np.random.default_rng(0)), bounds)
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        line = [ln for ln in first.read_text().splitlines() if ln.startswith("lastrun_bounds")]
+        assert line and line[0] in second.read_text().splitlines()
+        assert first.read_bytes() == second.read_bytes()
 
     def test_none_bounds_round_trip(self, tmp_path):
         net = xavier_init((14, 10, 1), np.random.default_rng(0))

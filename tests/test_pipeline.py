@@ -13,13 +13,16 @@ from testprio.augment import AugmentConfig
 from testprio.config import get_bool, get_float, load_config, parse_config
 from testprio.errors import InputError, InsufficientHistory, MissingPriorityColumn
 from testprio.history import (
+    NEVER_RAN,
     CycleLog,
     ExecutionRecord,
     Verdict,
     build_status_matrix,
     emit_csv,
     ingest_csv,
+    to_epoch_us,
 )
+from testprio.features import bounds_from_matrix
 from testprio.net import TrainConfig
 from testprio.pipeline import (
     ALL_STRATEGIES,
@@ -32,9 +35,10 @@ from testprio.pipeline import (
     plan_from_config,
     run_pipeline,
     train_model,
+    training_vectors,
 )
 from testprio.prioritize import PrioritizedSuite, RankedTest
-from testprio.rocket import linear_weights, priorities
+from testprio.rocket import label_dataset, linear_weights, priorities
 from testprio import simulate
 from testprio.simulate import SuiteProfile, generate_history
 
@@ -96,7 +100,9 @@ def per_record_status_matrix(cycles, window_len, as_of_cycle, include_tests):
             if last_run[i] is None or rec.last_run > last_run[i]:
                 last_run[i] = rec.last_run
     mean = np.divide(dur_sum, dur_count, out=np.zeros(n), where=dur_count > 0)
-    return tuple(order), statuses, mean, tuple(last_run)
+    last_run = np.array([NEVER_RAN if ts is None else to_epoch_us(ts) for ts in last_run],
+                        dtype=np.int64)
+    return tuple(order), statuses, mean, last_run
 
 
 class TestReplayState:
@@ -121,20 +127,32 @@ class TestReplayState:
             assert snapshot.test_ids == order
             assert np.array_equal(snapshot.statuses, statuses)
             assert np.array_equal(snapshot.mean_duration_s, mean)
-            assert snapshot.last_run == last_run
+            assert np.array_equal(snapshot.last_run, last_run)
 
             state = ReplayState.from_cycles(cycles, window, as_of)
             incremental = state.matrix_for(order)
             assert incremental.test_ids == order
             assert np.array_equal(incremental.statuses, statuses)
             assert np.array_equal(incremental.mean_duration_s, mean)
-            assert incremental.last_run == last_run
+            assert np.array_equal(incremental.last_run, last_run)
 
     def test_cannot_move_backwards(self):
         state = ReplayState(4)
         state.advance_to(5)
         with pytest.raises(ValueError):
             state.advance_to(3)
+
+
+def test_training_vectors_are_each_cycles_labeled_rows_in_order():
+    rng = random.Random(31)
+    for _ in range(10):
+        cycles = random_cycles(rng)
+        bounds = bounds_from_matrix(build_status_matrix(cycles, 4))
+        pooled = training_vectors(cycles, 4, linear_weights(4), bounds)
+        per_cycle = [label_dataset(ReplayState.from_cycles(cycles, 4, c.cycle_id)
+                                   .matrix_for(c.test_ids), linear_weights(4), bounds)
+                     for c in cycles]
+        assert list(pooled) == [v for labeled in per_cycle for v in labeled]
 
 
 def test_ingest_and_replay_build_no_execution_records(tmp_path, monkeypatch):
