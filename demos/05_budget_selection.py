@@ -9,16 +9,11 @@ leftover budget.
 
 from testprio.prioritize import rank, select_within_budget
 
-predictions = [
-    ("ui-login", 0.91), ("payments-e2e", 0.88), ("search-index", 0.55),
-    ("cart-flow", 0.55), ("smoke-api", 0.32), ("export-csv", 0.10),
-]
-durations = {
-    "ui-login": 40.0, "payments-e2e": 210.0, "search-index": 95.0,
-    "cart-flow": 30.0, "smoke-api": 12.0, "export-csv": 5.0,
-}
+tests = ["ui-login", "payments-e2e", "search-index", "cart-flow", "smoke-api", "export-csv"]
+predictions = [0.91, 0.88, 0.55, 0.55, 0.32, 0.10]
+durations = [40.0, 210.0, 95.0, 30.0, 12.0, 5.0]  # historical mean seconds
 
-suite = rank(predictions, durations=durations)
+suite = rank(tests, predictions, durations)
 print("ranked suite (ties keep input order):")
 for pos, t in enumerate(suite.tests, 1):
     print(f"  {pos}. {t.test_id:<13} priority {t.priority:.2f}  ~{t.mean_duration_s:.0f}s")

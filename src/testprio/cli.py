@@ -128,8 +128,7 @@ def cmd_prioritize(args) -> int:
     X, _, ids = stack(extract(matrix, bounds=model.bounds,
                               expected_window=model.window_len))
     preds = np.clip(predict(model.net, X), 0.0, 1.0)
-    durations = dict(zip(matrix.test_ids, matrix.mean_duration_s.tolist()))
-    suite = rank(zip(ids, preds.tolist()), durations=durations)
+    suite = rank(ids, preds, matrix.mean_duration_s)
     out = _out_dir(args)
     write_suite_csv(suite, out / "suite.csv")
     write_order(suite.order(), out / "order.txt")

@@ -18,29 +18,34 @@ import numpy as np
 from .errors import LengthMismatch, UnbalancedPhaseEvents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleOutcome:
     """Executed tests of one replayed cycle, in execution order.
 
-    In replay each failing test counts as one distinct fault.
-    ``total_known_faults`` covers faults outside the executed portion
-    (budget-truncated runs); it defaults to the detected count.
+    ``failed`` (bool) and ``duration_s`` (float64) are held as arrays; any
+    sequence is accepted. In replay each failing test counts as one
+    distinct fault. ``total_known_faults`` covers faults outside the
+    executed portion (budget-truncated runs); it defaults to the detected
+    count.
     """
 
-    failed: tuple[bool, ...]
-    duration_s: tuple[float, ...]
+    failed: np.ndarray
+    duration_s: np.ndarray
     total_known_faults: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "failed", np.asarray(self.failed, dtype=bool))
+        object.__setattr__(self, "duration_s", np.asarray(self.duration_s, dtype=np.float64))
         if len(self.failed) != len(self.duration_s):
             raise LengthMismatch(len(self.failed), len(self.duration_s))
-        if self.total_known_faults is not None and self.total_known_faults < sum(self.failed):
+        if (self.total_known_faults is not None
+                and self.total_known_faults < np.count_nonzero(self.failed)):
             raise ValueError("total_known_faults smaller than detected faults")
 
     @property
-    def fault_positions(self) -> list[int]:
+    def fault_positions(self) -> np.ndarray:
         """1-based positions of the tests that revealed a fault."""
-        return [i for i, f in enumerate(self.failed, start=1) if f]
+        return np.flatnonzero(self.failed) + 1
 
 
 def apfd(outcome: CycleOutcome) -> float | None:
@@ -54,7 +59,7 @@ def apfd(outcome: CycleOutcome) -> float | None:
     m = len(positions)
     if n == 0 or m == 0:
         return None
-    return 1.0 - sum(positions) / (n * m) + 1.0 / (2 * n)
+    return 1.0 - int(positions.sum()) / (n * m) + 1.0 / (2 * n)
 
 
 def napfd(outcome: CycleOutcome) -> float | None:
@@ -70,7 +75,7 @@ def napfd(outcome: CycleOutcome) -> float | None:
     if n == 0:
         return 0.0
     p = len(positions) / m_total
-    return p - sum(positions) / (n * m_total) + p / (2 * n)
+    return p - int(positions.sum()) / (n * m_total) + p / (2 * n)
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,10 @@ class TimeMetrics:
 def time_metrics(outcome: CycleOutcome) -> TimeMetrics:
     """Cumulative execution time until the first/last fault and the mean
     over all fault detections."""
-    positions = outcome.fault_positions
-    if not positions:
+    if not outcome.failed.any():
         return TimeMetrics(None, None, None)
-    cumulative = np.cumsum(outcome.duration_s)
-    at_faults = [float(cumulative[p - 1]) for p in positions]
-    return TimeMetrics(at_faults[0], at_faults[-1], float(np.mean(at_faults)))
+    at_faults = np.cumsum(outcome.duration_s)[outcome.failed]
+    return TimeMetrics(float(at_faults[0]), float(at_faults[-1]), float(np.mean(at_faults)))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from .net import (
     train,
     xavier_init,
 )
-from .prioritize import PrioritizedSuite, rank, select_within_budget
+from .prioritize import PrioritizedSuite, budget_walk, rank, select_within_budget
 from .rocket import WeightScheme, label_dataset, priorities, weight_scheme
 
 logger = logging.getLogger(__name__)
@@ -239,52 +239,57 @@ def _resolve_cut(plan: ExperimentPlan, cycle_ids: list[int]) -> int:
     return cycle_ids[idx]
 
 
-def _strategy_suite(strategy: str, ids: list, matrix: StatusMatrix,
-                    mean_dur: dict, model: SavedModel | None,
-                    scheme: WeightScheme) -> PrioritizedSuite:
-    if strategy == STRATEGY_DEEPORDER:
-        X = feature_matrix(matrix, bounds=model.bounds,
-                           expected_window=matrix.window_len)
-        preds = np.clip(predict(model.net, X), 0.0, 1.0)
-        return rank(zip(ids, preds.tolist()), durations=mean_dur)
-    if strategy == STRATEGY_ROCKET:
-        prios = priorities(matrix.statuses, scheme)
-        return rank(zip(ids, prios.tolist()), durations=mean_dur)
-    if strategy == STRATEGY_UNTREATED:
-        return rank(((tid, 0.0) for tid in ids), durations=mean_dur)
-    raise InputError(f"unknown strategy {strategy!r}")
+def _deeporder_scores(matrix: StatusMatrix, model: SavedModel | None,
+                      scheme: WeightScheme) -> np.ndarray:
+    X = feature_matrix(matrix, bounds=model.bounds, expected_window=matrix.window_len)
+    return np.clip(predict(model.net, X), 0.0, 1.0)
 
 
-def _evaluate_order(suite: PrioritizedSuite, failed: dict, actual_dur: dict,
+def _rocket_scores(matrix: StatusMatrix, model: SavedModel | None,
+                   scheme: WeightScheme) -> np.ndarray:
+    return priorities(matrix.statuses, scheme)
+
+
+def _untreated_scores(matrix: StatusMatrix, model: SavedModel | None,
+                      scheme: WeightScheme) -> np.ndarray:
+    return np.zeros(len(matrix))
+
+
+# One score per test of the cycle; rank turns them into one ordering. The
+# random strategy is not here: it draws R orderings, scored as one matrix.
+SCORERS = {
+    STRATEGY_DEEPORDER: _deeporder_scores,
+    STRATEGY_ROCKET: _rocket_scores,
+    STRATEGY_UNTREATED: _untreated_scores,
+}
+
+
+def _evaluate_suite(suite: PrioritizedSuite, failed: np.ndarray, actual_dur: np.ndarray,
                     n_faults: int, budget_s: float) -> dict:
-    order = suite.order()
-    full = CycleOutcome(
-        failed=tuple(failed[t] for t in order),
-        duration_s=tuple(actual_dur[t] for t in order),
-    )
+    """Score one ordering through the public API: the full order for APFD
+    and the time metrics, the budget selection for NAPFD. ``failed`` and
+    ``actual_dur`` are aligned with the ids ``suite`` was ranked from."""
+    fail, dur = failed[suite.index], actual_dur[suite.index]
+    full = CycleOutcome(fail, dur)
     tm = time_metrics(full)
     selection = select_within_budget(suite, budget_s)
-    sel_ids = selection.order()
-    partial = CycleOutcome(
-        failed=tuple(failed[t] for t in sel_ids),
-        duration_s=tuple(actual_dur[t] for t in sel_ids),
-        total_known_faults=n_faults,
-    )
+    taken = selection.taken
+    partial = CycleOutcome(fail[taken], dur[taken], total_known_faults=n_faults)
     return {
         "apfd": apfd(full),
         "napfd": napfd(partial),
         "ft_s": tm.first_fault_s,
         "lt_s": tm.last_fault_s,
         "at_s": tm.avg_fault_s,
-        "n_selected": len(sel_ids),
-        "detected": sum(partial.failed),
+        "n_selected": len(partial.failed),
+        "detected": int(np.count_nonzero(partial.failed)),
         "used_s": selection.used_s,
     }
 
 
 def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarray,
                      est_dur: np.ndarray, n_faults: int, budget_s: float) -> dict:
-    """What _evaluate_order reports, for each row of an (R, n) matrix of
+    """What _evaluate_suite reports, for each row of an (R, n) matrix of
     orderings (indices into the per-test arrays), all rows at once.
 
     Returns one list of R values per key, bit-equal to scoring each
@@ -302,7 +307,7 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
     else:
         out["apfd"] = none
 
-    taken, remaining = _budget_walk(est_dur[perms], budget_s)
+    taken, remaining = budget_walk(est_dur[perms], budget_s)
     n_sel = taken.sum(axis=1)
     hit = taken & fail
     detected = hit.sum(axis=1)
@@ -319,26 +324,13 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
         at_faults = np.cumsum(actual_dur[perms], axis=1)[fail].reshape(R, m)
         out["ft_s"] = at_faults[:, 0].tolist()
         out["lt_s"] = at_faults[:, -1].tolist()
-        out["at_s"] = [float(np.mean(row)) for row in at_faults]
+        out["at_s"] = at_faults.mean(axis=1).tolist()  # per row, pairwise as np.mean adds
     else:
         out["ft_s"] = out["lt_s"] = out["at_s"] = none
     out["n_selected"] = n_sel.tolist()
     out["detected"] = detected.tolist()
     out["used_s"] = (budget_s - remaining).tolist()
     return out
-
-
-def _budget_walk(durations: np.ndarray, budget_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """select_within_budget's skip-and-continue walk over each row of an
-    (R, n) matrix of durations in rank order, one rank position at a time
-    for all rows: the mask of tests taken and the budget left."""
-    R, n = durations.shape
-    taken = np.empty((R, n), dtype=bool)
-    remaining = np.full(R, float(budget_s))
-    for j in range(n):
-        fits = taken[:, j] = durations[:, j] <= remaining
-        remaining = np.where(fits, remaining - durations[:, j], remaining)
-    return taken, remaining
 
 
 def _mean_or_none(values: list) -> float | None:
@@ -390,25 +382,19 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                     model, training = train_model(history, plan)
                     trained_through = cycle.cycle_id
 
-            ids = list(cycle.test_ids)
-            failed = dict(zip(ids, cycle.failed.tolist()))
-            actual_dur = dict(zip(ids, cycle.duration_s.tolist()))
+            ids = cycle.test_ids
             n_faults = int(cycle.failed.sum())
             # A left-to-right sum: np.sum adds pairwise, which changes the last bits.
-            budget_s = plan.budget_fraction * sum(actual_dur.values())
+            budget_s = plan.budget_fraction * sum(cycle.duration_s.tolist())
 
             with timer.phase(PHASE_PRIORITIZE):
                 state.advance_to(cycle.cycle_id - 1)
                 matrix = state.matrix_for(ids)
-                mean_dur = dict(zip(matrix.test_ids, matrix.mean_duration_s.tolist()))
-                suites: dict[str, PrioritizedSuite | None] = {}
-                for strategy in plan.strategies:
-                    if strategy == STRATEGY_RANDOM:
-                        suites[strategy] = None
-                    else:
-                        suites[strategy] = _strategy_suite(
-                            strategy, ids, matrix, mean_dur, model, scheme
-                        )
+                suites = {
+                    strategy: rank(ids, SCORERS[strategy](matrix, model, scheme),
+                                   matrix.mean_duration_s)
+                    for strategy in plan.strategies if strategy != STRATEGY_RANDOM
+                }
 
             base = {
                 "dataset": dataset_name,
@@ -427,15 +413,11 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                         perms, cycle.failed, cycle.duration_s, matrix.mean_duration_s,
                         n_faults, budget_s,
                     )
-                    merged = {key: _mean_or_none(values) for key, values in reps.items()}
-                    rows.append({**base, "strategy": strategy, **merged})
+                    scores = {key: _mean_or_none(values) for key, values in reps.items()}
                 else:
-                    rows.append({
-                        **base,
-                        "strategy": strategy,
-                        **_evaluate_order(suites[strategy], failed, actual_dur,
-                                          n_faults, budget_s),
-                    })
+                    scores = _evaluate_suite(suites[strategy], cycle.failed, cycle.duration_s,
+                                             n_faults, budget_s)
+                rows.append({**base, "strategy": strategy, **scores})
 
             with timer.phase(PHASE_PROCESS):
                 state.ingest(cycle)

@@ -1,14 +1,20 @@
-"""Turn predicted priorities into an ordering and a budget-fitted subset."""
+"""Turn predicted priorities into an ordering and a budget-fitted subset.
+
+A suite is held as arrays in rank order, so ranking, selection and
+scoring run without one Python object per test; ``RankedTest`` records
+are built only when a caller asks for them.
+"""
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
-from .errors import MalformedRow, MissingColumn, NonFinitePriority
+import numpy as np
+
+from .errors import LengthMismatch, MalformedRow, MissingColumn, NonFinitePriority
 
 OVER_BUDGET = "over_budget"
 
@@ -20,41 +26,145 @@ class RankedTest:
     mean_duration_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class PrioritizedSuite:
-    """Tests in non-increasing priority order; ties keep input order."""
+def _object_array(values) -> np.ndarray:
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    tests: tuple[RankedTest, ...]
+
+class PrioritizedSuite:
+    """Tests in non-increasing priority order; ties keep input order.
+
+    Held as parallel arrays in rank order: ``ids`` (object), ``priority``
+    and ``duration_s`` (float64), and ``index``, the position each test
+    had in the arrays given to :func:`rank` (``0..n-1`` for a suite built
+    any other way). Equality compares ids, priorities and durations.
+    """
+
+    __slots__ = ("ids", "priority", "duration_s", "index")
+
+    def __init__(self, tests: Iterable[RankedTest] = ()):
+        tests = tuple(tests)
+        self._fill(_object_array([t.test_id for t in tests]),
+                   np.array([t.priority for t in tests], dtype=np.float64),
+                   np.array([t.mean_duration_s for t in tests], dtype=np.float64),
+                   np.arange(len(tests)))
+
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, priority: np.ndarray, duration_s: np.ndarray,
+                    index: np.ndarray | None = None) -> "PrioritizedSuite":
+        """A suite of arrays already in rank order (``ids`` of dtype object)."""
+        suite = cls.__new__(cls)
+        suite._fill(ids, priority, duration_s,
+                    np.arange(len(ids)) if index is None else index)
+        return suite
+
+    def _fill(self, ids, priority, duration_s, index) -> None:
+        if not len(ids) == len(priority) == len(duration_s) == len(index):
+            raise LengthMismatch(len(ids), len(priority))
+        self.ids, self.priority, self.duration_s, self.index = ids, priority, duration_s, index
 
     def __len__(self) -> int:
-        return len(self.tests)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrioritizedSuite):
+            return NotImplemented
+        return (self.order() == other.order()
+                and np.array_equal(self.priority, other.priority)
+                and np.array_equal(self.duration_s, other.duration_s))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PrioritizedSuite({self.tests!r})"
+
+    @property
+    def tests(self) -> tuple[RankedTest, ...]:
+        return tuple(map(RankedTest, self.ids.tolist(), self.priority.tolist(),
+                         self.duration_s.tolist()))
 
     def order(self) -> list:
-        return [t.test_id for t in self.tests]
+        return self.ids.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
-    selected: tuple[RankedTest, ...]
-    skipped: tuple[tuple[object, str], ...]  # (test_id, reason)
+    """The tests of ``suite`` the budget walk took (``taken``, one flag per
+    rank position) and the estimated seconds they use."""
+
+    suite: PrioritizedSuite
+    taken: np.ndarray
     budget_s: float
     used_s: float
 
+    @property
+    def selected(self) -> tuple[RankedTest, ...]:
+        return tuple(t for t, keep in zip(self.suite.tests, self.taken.tolist()) if keep)
+
+    @property
+    def skipped(self) -> tuple[tuple[object, str], ...]:
+        """(test_id, reason) of every test left out, in rank order."""
+        return tuple((tid, OVER_BUDGET) for tid in self.suite.ids[~self.taken].tolist())
+
     def order(self) -> list:
-        return [t.test_id for t in self.selected]
+        return self.suite.ids[self.taken].tolist()
 
 
-def rank(predictions: Iterable[tuple[object, float]],
-         durations: Mapping[object, float] | None = None) -> PrioritizedSuite:
-    """Stable descending sort by priority."""
-    entries = []
-    for test_id, prio in predictions:
-        if not math.isfinite(prio):
-            raise NonFinitePriority(test_id)
-        dur = float(durations.get(test_id, 0.0)) if durations is not None else 0.0
-        entries.append(RankedTest(test_id, float(prio), dur))
-    entries.sort(key=lambda t: -t.priority)  # sort is stable
-    return PrioritizedSuite(tuple(entries))
+def rank(ids: Sequence, priorities: Sequence[float],
+         durations: Sequence[float] | None = None) -> PrioritizedSuite:
+    """Stable descending sort by priority; ties keep input order.
+
+    ``ids``, ``priorities`` and ``durations`` (mean seconds per test,
+    default 0) are aligned. A NaN or infinite priority raises
+    ``NonFinitePriority`` naming the first such test.
+    """
+    ids = _object_array(ids)
+    prio = np.asarray(priorities, dtype=np.float64)
+    if len(prio) != len(ids):
+        raise LengthMismatch(len(ids), len(prio))
+    finite = np.isfinite(prio)
+    if not finite.all():
+        raise NonFinitePriority(ids[np.argmin(finite)])
+    dur = np.zeros(len(ids)) if durations is None else np.asarray(durations, dtype=np.float64)
+    if len(dur) != len(ids):
+        raise LengthMismatch(len(ids), len(dur))
+    order = np.argsort(-prio, kind="stable")
+    return PrioritizedSuite.from_arrays(ids[order], prio[order], dur[order], order)
+
+
+def budget_walk(durations: np.ndarray, budget_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The skip-and-continue walk over each row of an (R, n) matrix of
+    non-negative durations in rank order: a test is taken iff its duration
+    fits what is left of the budget, and the walk goes on past a test that
+    does not fit.
+
+    Returns the (R, n) mask of tests taken and the (R,) budget left, both
+    bit-equal to walking each row one test at a time with
+    ``remaining -= d``. Each pass works on every row at once. A test that
+    does not fit at the start of a pass never fits later, since the budget
+    only shrinks, so the pass charges it 0, which leaves the budget exact.
+    The other tests are charged in walk order by
+    ``np.subtract.accumulate`` and taken up to the first one that no
+    longer fits; the next pass starts after it.
+    """
+    R, n = durations.shape
+    cols = np.arange(n)
+    taken = np.zeros((R, n), dtype=bool)
+    remaining = np.full(R, float(budget_s))
+    rows = np.arange(R)
+    start = np.zeros((R, 1), dtype=np.intp)  # first position not yet walked
+    while True:
+        fits = (durations <= remaining[:, None]) & (cols >= start)
+        if not fits.any():
+            return taken, remaining
+        left = np.subtract.accumulate(
+            np.concatenate([remaining[:, None], np.where(fits, durations, 0.0)], axis=1),
+            axis=1,
+        )
+        stops = fits & ~(durations <= left[:, :-1])
+        end = np.where(stops.any(axis=1), stops.argmax(axis=1), n)
+        taken |= fits & (cols < end[:, None])
+        remaining = left[rows, end]
+        start = end[:, None] + 1
 
 
 def select_within_budget(suite: PrioritizedSuite, budget_s: float) -> SelectionResult:
@@ -66,21 +176,10 @@ def select_within_budget(suite: PrioritizedSuite, budget_s: float) -> SelectionR
     """
     if budget_s < 0:
         raise ValueError(f"budget must be >= 0, got {budget_s}")
-    remaining = budget_s
-    selected: list[RankedTest] = []
-    skipped: list[tuple[object, str]] = []
-    for test in suite.tests:
-        if test.mean_duration_s <= remaining:
-            selected.append(test)
-            remaining -= test.mean_duration_s
-        else:
-            skipped.append((test.test_id, OVER_BUDGET))
-    return SelectionResult(
-        selected=tuple(selected),
-        skipped=tuple(skipped),
-        budget_s=budget_s,
-        used_s=budget_s - remaining,
-    )
+    if (suite.duration_s < 0).any():
+        raise ValueError("test durations must be >= 0")
+    taken, remaining = budget_walk(suite.duration_s[None, :], budget_s)
+    return SelectionResult(suite, taken[0], budget_s, budget_s - float(remaining[0]))
 
 
 # --- CI-facing output formats ----------------------------------------------
@@ -92,8 +191,9 @@ def write_suite_csv(suite: PrioritizedSuite, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUITE_HEADER)
-        for pos, t in enumerate(suite.tests, start=1):
-            writer.writerow([pos, t.test_id, repr(t.priority), repr(t.mean_duration_s)])
+        rows = zip(suite.ids.tolist(), suite.priority.tolist(), suite.duration_s.tolist())
+        for pos, (tid, prio, dur) in enumerate(rows, start=1):
+            writer.writerow([pos, tid, repr(prio), repr(dur)])
 
 
 def read_suite_csv(path: str | Path) -> PrioritizedSuite:
@@ -105,10 +205,13 @@ def read_suite_csv(path: str | Path) -> PrioritizedSuite:
         tests = []
         for rownum, row in enumerate(reader, start=2):
             try:
-                tests.append(RankedTest(_parse_id(row[1]), float(row[2]), float(row[3])))
+                test = RankedTest(_parse_id(row[1]), float(row[2]), float(row[3]))
             except (IndexError, ValueError) as exc:
                 raise MalformedRow(rownum, str(exc)) from None
-    return PrioritizedSuite(tuple(tests))
+            if test.mean_duration_s < 0:
+                raise MalformedRow(rownum, f"negative duration {row[3]!r}")
+            tests.append(test)
+    return PrioritizedSuite(tests)
 
 
 def write_order(tests: Iterable, path: str | Path) -> None:

@@ -11,7 +11,12 @@ import pytest
 
 from testprio.augment import AugmentConfig
 from testprio.config import get_bool, get_float, load_config, parse_config
-from testprio.errors import InputError, InsufficientHistory, MissingPriorityColumn
+from testprio.errors import (
+    InputError,
+    InsufficientHistory,
+    MissingPriorityColumn,
+    NonFinitePriority,
+)
 from testprio.history import (
     NEVER_RAN,
     CycleLog,
@@ -22,14 +27,14 @@ from testprio.history import (
     ingest_csv,
     to_epoch_us,
 )
-from testprio.features import bounds_from_matrix
-from testprio.net import TrainConfig
+from testprio.features import bounds_from_matrix, feature_matrix
+from testprio.net import TrainConfig, predict
 from testprio.pipeline import (
     ALL_STRATEGIES,
     ExperimentPlan,
     ReplayState,
-    _evaluate_order,
     _evaluate_orders,
+    _evaluate_suite,
     compare_against_ground_truth,
     history_length_study,
     plan_from_config,
@@ -37,7 +42,8 @@ from testprio.pipeline import (
     train_model,
     training_vectors,
 )
-from testprio.prioritize import PrioritizedSuite, RankedTest
+from testprio import pipeline
+from testprio.prioritize import PrioritizedSuite
 from testprio.rocket import label_dataset, linear_weights, priorities
 from testprio import simulate
 from testprio.simulate import SuiteProfile, generate_history
@@ -396,33 +402,125 @@ def test_untrained_strategy_rows_are_pinned(profile, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def reference_score(order, failed, actual, est, n_faults, budget_s):
+    """One ordering scored the way the replay scored it when every test was
+    an object: plain lists, a sequential budget walk and the metric
+    formulas written out. ``order`` lists positions into the per-test
+    lists. The array scorers must equal this bit for bit."""
+    fail = [failed[i] for i in order]
+    n, m = len(order), sum(fail)
+    positions = [k for k, f in enumerate(fail, start=1) if f]
+    elapsed, at_faults = 0.0, []
+    for i in order:
+        elapsed += actual[i]
+        if failed[i]:
+            at_faults.append(elapsed)
+    remaining, selected = budget_s, []
+    for i in order:
+        if est[i] <= remaining:
+            selected.append(i)
+            remaining -= est[i]
+    hits = [k for k, i in enumerate(selected, start=1) if failed[i]]
+    if not n_faults:
+        napfd = None
+    elif not selected:
+        napfd = 0.0
+    else:
+        p = len(hits) / n_faults
+        napfd = p - sum(hits) / (len(selected) * n_faults) + p / (2 * len(selected))
+    return {
+        "apfd": None if n == 0 or m == 0 else 1.0 - sum(positions) / (n * m) + 1.0 / (2 * n),
+        "napfd": napfd,
+        "ft_s": at_faults[0] if at_faults else None,
+        "lt_s": at_faults[-1] if at_faults else None,
+        "at_s": float(np.mean(at_faults)) if at_faults else None,
+        "n_selected": len(selected),
+        "detected": len(hits),
+        "used_s": budget_s - remaining,
+    }
+
+
 def test_scoring_orders_as_a_matrix_matches_scoring_each_order():
-    """The random strategy scores its repetitions as one matrix; each row
-    must come out bit-equal to scoring that ordering on its own, budget walk
-    included. Durations sit on a coarse grid, with zeros for unseen tests,
-    so budgets land exactly on partial sums."""
+    """The random strategy scores its repetitions as one matrix, the other
+    strategies score one ranked suite each; every row must equal the
+    reference scorer bit for bit, budget walk included. Durations sit on a
+    coarse grid, with zeros for unseen tests, so budgets land exactly on
+    partial sums; cases include no tests, one repetition and cycles of
+    more than 1,000 tests."""
     rng = random.Random(31)
     nprng = np.random.default_rng(31)
     grid = [0.0, 0.1, 0.2, 0.3, 1.0, 2.5]
-    for _ in range(300):
-        n = rng.randint(0, 25)
-        ids = list(range(100, 100 + n))
-        failed = {t: rng.random() < 0.3 for t in ids}
-        actual = {t: rng.choice(grid + [rng.random()]) for t in ids}
-        est = {t: rng.choice(grid + [rng.random()]) for t in ids}
-        budget = rng.choice([0.0, 0.3, 0.5 * sum(actual.values()), sum(est.values()),
-                             3 * rng.random()])
-        n_faults = sum(failed.values())
-        repeats = rng.randint(1, 5)
+    for trial in range(300):
+        n = rng.randint(1000, 1100) if trial % 60 == 0 else rng.randint(0, 25)
+        failed = [rng.random() < 0.3 for _ in range(n)]
+        actual = [rng.choice(grid + [rng.random()]) for _ in range(n)]
+        est = [rng.choice(grid + [rng.random()]) for _ in range(n)]
+        repeats = rng.choice([1, rng.randint(1, 5)])
         perms = np.array([nprng.permutation(n) for _ in range(repeats)]).reshape(repeats, n)
-        got = _evaluate_orders(
-            perms,
-            np.array([failed[t] for t in ids], dtype=bool),
-            np.array([actual[t] for t in ids], dtype=np.float64),
-            np.array([est[t] for t in ids], dtype=np.float64),
-            n_faults, budget,
-        )
+        partial = 0.0  # a budget that is a partial sum of the first ordering
+        for i in perms[0][:rng.randint(0, n)]:
+            partial += est[i]
+        budget = rng.choice([0.0, 0.3, partial, 0.5 * sum(actual), sum(est), 3 * rng.random()])
+        n_faults = sum(failed)
+        arrays = (np.array(failed, dtype=bool).reshape(n), np.array(actual).reshape(n))
+        got = _evaluate_orders(perms, *arrays, np.array(est).reshape(n), n_faults, budget)
         for r, perm in enumerate(perms):
-            suite = PrioritizedSuite(tuple(RankedTest(ids[i], 0.0, est[ids[i]]) for i in perm))
-            expected = _evaluate_order(suite, failed, actual, n_faults, budget)
+            expected = reference_score(perm.tolist(), failed, actual, est, n_faults, budget)
             assert {key: values[r] for key, values in got.items()} == expected
+            suite = PrioritizedSuite.from_arrays(
+                np.arange(n, dtype=object)[perm], np.zeros(n), np.array(est)[perm].reshape(n),
+                perm)
+            assert _evaluate_suite(suite, *arrays, n_faults, budget) == expected
+
+
+def test_replayed_rows_equal_the_reference_scorer(tiny_cycles, tiny_result):
+    """Each strategy's row of every replayed cycle equals the reference
+    scorer run on that strategy's ordering: the list.sort order of its
+    scores, or the seeded permutations for random, averaged."""
+    plan = tiny_plan(tiny_cycles)
+    model = tiny_result.model
+    rows = {(r["cycle"], r["strategy"]): r for r in tiny_result.per_cycle}
+    for cycle in tiny_cycles:
+        if cycle.cycle_id <= tiny_result.cut_cycle:
+            continue
+        ids = cycle.test_ids
+        matrix = ReplayState.from_cycles(tiny_cycles, plan.window_len,
+                                         cycle.cycle_id - 1).matrix_for(ids)
+        failed, actual = cycle.failed.tolist(), cycle.duration_s.tolist()
+        est = matrix.mean_duration_s.tolist()
+        args = (failed, actual, est, sum(failed), plan.budget_fraction * sum(actual))
+        scores = {
+            "deeporder": np.clip(predict(model.net, feature_matrix(
+                matrix, bounds=model.bounds, expected_window=plan.window_len)), 0.0, 1.0),
+            "rocket": priorities(matrix.statuses, linear_weights(plan.window_len)),
+            "untreated": np.zeros(len(ids)),
+        }
+        for strategy, s in scores.items():
+            order = sorted(range(len(ids)), key=lambda i: -s[i])
+            want = reference_score(order, *args)
+            got = rows[(cycle.cycle_id, strategy)]
+            assert {key: got[key] for key in want} == want, strategy
+        reps = [reference_score(
+            np.random.default_rng([plan.seed, cycle.cycle_id, rep]).permutation(len(ids)).tolist(),
+            *args) for rep in range(plan.random_repeats)]
+        got = rows[(cycle.cycle_id, "random")]
+        for key in reps[0]:
+            values = [rep[key] for rep in reps if rep[key] is not None]
+            assert got[key] == (float(np.mean(values)) if values else None), key
+
+
+def test_a_non_finite_prediction_stops_the_replay_naming_the_test(tiny_cycles, monkeypatch):
+    plan = tiny_plan(tiny_cycles, strategies=("deeporder",))
+    first = next(c for c in tiny_cycles if c.cycle_id > pipeline._resolve_cut(
+        plan, [c.cycle_id for c in tiny_cycles]))
+    real_predict = pipeline.predict
+
+    def nan_in_row_2(net, X):
+        out = real_predict(net, X).copy()
+        out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline, "predict", nan_in_row_2)
+    with pytest.raises(NonFinitePriority) as err:
+        run_pipeline(plan)
+    assert err.value.test_id == first.test_ids[2]

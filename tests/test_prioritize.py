@@ -3,13 +3,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
-from testprio.errors import NonFinitePriority
+from testprio.errors import LengthMismatch, MalformedRow, NonFinitePriority
 from testprio.prioritize import (
     OVER_BUDGET,
     PrioritizedSuite,
     RankedTest,
+    budget_walk,
     rank,
     read_suite_csv,
     select_within_budget,
@@ -18,45 +20,78 @@ from testprio.prioritize import (
 )
 
 
+def reference_rank(ids, priorities):
+    """rank as it was when it built one RankedTest per test: list.sort on
+    the negated priority, which is stable."""
+    entries = list(zip(ids, priorities))
+    entries.sort(key=lambda e: -e[1])
+    return [tid for tid, _ in entries]
+
+
 class TestRank:
     def test_descending(self):
-        suite = rank([("a", 0.2), ("b", 0.9)])
+        suite = rank(["a", "b"], [0.2, 0.9])
         assert suite.order() == ["b", "a"]
 
     def test_ties_keep_input_order(self):
-        suite = rank([("a", 0.5), ("b", 0.5), ("c", 0.5)])
+        suite = rank(["a", "b", "c"], [0.5, 0.5, 0.5])
         assert suite.order() == ["a", "b", "c"]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinitePriority):
-            rank([("a", math.nan)])
+            rank(["a"], [math.nan])
         with pytest.raises(NonFinitePriority):
-            rank([("a", math.inf)])
+            rank(["a"], [math.inf])
+
+    def test_non_finite_names_the_first_such_test(self):
+        with pytest.raises(NonFinitePriority) as err:
+            rank(["a", 7, "c", "d"], [0.5, -math.inf, math.nan, 0.1])
+        assert err.value.test_id == 7
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(LengthMismatch):
+            rank(["a", "b"], [0.5])
+        with pytest.raises(LengthMismatch):
+            rank(["a", "b"], [0.5, 0.1], [1.0])
 
     def test_matches_sort_oracle(self):
+        """Ties, 0.0 against -0.0, and ids of mixed types keep the order the
+        per-object sort gave, and priorities and durations travel with
+        their ids."""
         rng = random.Random(1)
-        for _ in range(200):
-            pairs = [(i, rng.random()) for i in range(rng.randint(1, 40))]
-            expected = [tid for tid, _ in
-                        sorted(pairs, key=lambda p: p[1], reverse=True)]
-            assert rank(pairs).order() == expected
+        pool = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-300, -1e-300]
+        for _ in range(500):
+            n = rng.randint(0, 40)
+            ids = [rng.choice([i, f"t{i}"]) for i in range(n)]
+            prios = [rng.choice(pool + [rng.random()]) for _ in range(n)]
+            durations = [rng.random() for _ in range(n)]
+            suite = rank(ids, prios, durations)
+            expected = reference_rank(ids, prios)
+            assert suite.order() == expected
+            by_id = {tid: (p, d) for tid, p, d in zip(ids, prios, durations)}
+            for t in suite.tests:
+                p, d = by_id[t.test_id]
+                assert (math.copysign(1.0, t.priority), t.priority, t.mean_duration_s) \
+                    == (math.copysign(1.0, p), p, d)
+            assert [ids[i] for i in suite.index] == expected
 
     def test_idempotent(self):
         rng = random.Random(2)
-        pairs = [(i, rng.choice([0.1, 0.5, 0.9])) for i in range(30)]
-        once = rank(pairs)
-        twice = rank([(t.test_id, t.priority) for t in once.tests])
+        prios = [rng.choice([0.1, 0.5, 0.9]) for _ in range(30)]
+        once = rank(list(range(30)), prios)
+        twice = rank(once.order(), once.priority)
         assert once.order() == twice.order()
 
     def test_invariant_under_monotone_transform(self):
         rng = random.Random(3)
-        pairs = [(i, rng.random()) for i in range(50)]
-        transformed = [(i, 3.0 * p + 1.0) for i, p in pairs]
-        assert rank(pairs).order() == rank(transformed).order()
+        prios = [rng.random() for _ in range(50)]
+        ids = list(range(50))
+        assert rank(ids, prios).order() == rank(ids, [3.0 * p + 1.0 for p in prios]).order()
 
     def test_durations_attached(self):
-        suite = rank([("a", 0.9)], durations={"a": 4.5})
+        suite = rank(["a"], [0.9], [4.5])
         assert suite.tests[0].mean_duration_s == 4.5
+        assert rank(["a"], [0.9]).tests[0].mean_duration_s == 0.0
 
 
 def suite_of(durations, priorities=None):
@@ -105,6 +140,10 @@ class TestSelectWithinBudget:
         with pytest.raises(ValueError):
             select_within_budget(suite_of([1.0]), -0.1)
 
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError):
+            select_within_budget(suite_of([1.0, -0.5]), 2.0)
+
     def test_budget_never_exceeded_randomized(self):
         rng = random.Random(4)
         for _ in range(2000):
@@ -137,12 +176,60 @@ class TestSelectWithinBudget:
             assert positions == sorted(positions)
 
 
+def sequential_walk(durations, budget_s):
+    """The budget walk one test at a time, as select_within_budget ran it
+    before it walked arrays: the reference for budget_walk."""
+    remaining, taken = budget_s, []
+    for d in durations:
+        taken.append(d <= remaining)
+        if taken[-1]:
+            remaining -= d
+    return taken, remaining
+
+
+def test_budget_walk_matches_a_sequential_loop():
+    """Mask and remainder equal the one-test-at-a-time walk bit for bit:
+    durations on a coarse grid (budgets then land exactly on partial
+    sums), with zeros for unseen tests, runs of zeros after the first
+    skip, no rows, no tests, and rows of more than 1,000 tests."""
+    rng = np.random.default_rng(7)
+    grid = np.array([0.0, 0.1, 0.2, 0.3, 1.0, 2.5])
+    for trial in range(600):
+        R = int(rng.integers(0, 6))
+        n = int(rng.integers(1000, 1200)) if trial % 100 == 0 else int(rng.integers(0, 40))
+        kind = trial % 3
+        if kind == 0:
+            durations = rng.choice(grid, (R, n))
+        elif kind == 1:
+            durations = rng.exponential(1.0, (R, n)) * (rng.random((R, n)) < 0.6)
+        else:
+            durations = rng.uniform(0.0, 1.0, (R, n))
+        row = durations[0].tolist() if R else []
+        k = int(rng.integers(0, n + 1))
+        partial = 0.0
+        for d in row[:k]:
+            partial += d
+        budget = [0.0, partial, 0.5 * sum(row), sum(row), float(rng.uniform(0, 3))][trial % 5]
+        taken, remaining = budget_walk(durations, budget)
+        assert taken.shape == (R, n) and remaining.shape == (R,)
+        for r in range(R):
+            want_taken, want_remaining = sequential_walk(durations[r].tolist(), budget)
+            assert np.array_equal(taken[r], np.array(want_taken, dtype=bool).reshape(n))
+            assert remaining[r] == want_remaining
+
+
 def test_suite_csv_round_trip(tmp_path):
-    suite = rank([("a", 0.9), (7, 0.5), ("c", 0.1)],
-                 durations={"a": 1.5, 7: 2.5, "c": 0.5})
+    suite = rank(["a", 7, "c"], [0.9, 0.5, 0.1], [1.5, 2.5, 0.5])
     path = tmp_path / "suite.csv"
     write_suite_csv(suite, path)
     assert read_suite_csv(path) == suite
+
+
+def test_suite_csv_with_a_negative_duration_is_malformed(tmp_path):
+    path = tmp_path / "suite.csv"
+    path.write_text("rank,test_id,priority,duration_s\n1,a,0.9,1.5\n2,b,0.5,-2.0\n")
+    with pytest.raises(MalformedRow, match="row 3"):
+        read_suite_csv(path)
 
 
 def test_write_order(tmp_path):
