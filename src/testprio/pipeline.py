@@ -264,17 +264,33 @@ SCORERS = {
 }
 
 
+def _run_until_deadline(taken: np.ndarray, actual_dur: np.ndarray,
+                        budget_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run the selected tests of each row of an (R, n) matrix in rank order,
+    in actual seconds, and stop them at the budget as a CI deadline would.
+
+    The selection charges estimated durations, so its tests may take longer
+    than the budget. A test counts as run only if it finished within the
+    budget; one that the deadline cuts short, and every test after it, did
+    not. Returns the (R, n) mask of tests run and the (R,) seconds they took.
+    """
+    elapsed = np.cumsum(np.where(taken, actual_dur, 0.0), axis=1)
+    ran = taken & (elapsed <= budget_s)
+    return ran, np.where(ran, elapsed, 0.0).max(axis=1, initial=0.0)
+
+
 def _evaluate_suite(suite: PrioritizedSuite, failed: np.ndarray, actual_dur: np.ndarray,
                     n_faults: int, budget_s: float) -> dict:
     """Score one ordering through the public API: the full order for APFD
-    and the time metrics, the budget selection for NAPFD. ``failed`` and
-    ``actual_dur`` are aligned with the ids ``suite`` was ranked from."""
+    and the time metrics; for NAPFD, the budget selection as far as it runs
+    before the deadline. ``failed`` and ``actual_dur`` are aligned with the
+    ids ``suite`` was ranked from."""
     fail, dur = failed[suite.index], actual_dur[suite.index]
     full = CycleOutcome(fail, dur)
     tm = time_metrics(full)
     selection = select_within_budget(suite, budget_s)
-    taken = selection.taken
-    partial = CycleOutcome(fail[taken], dur[taken], total_known_faults=n_faults)
+    ran, actual_s = _run_until_deadline(selection.taken[None], dur[None], budget_s)
+    partial = CycleOutcome(fail[ran[0]], dur[ran[0]], total_known_faults=n_faults)
     return {
         "apfd": apfd(full),
         "napfd": napfd(partial),
@@ -284,6 +300,7 @@ def _evaluate_suite(suite: PrioritizedSuite, failed: np.ndarray, actual_dur: np.
         "n_selected": len(partial.failed),
         "detected": int(np.count_nonzero(partial.failed)),
         "used_s": selection.used_s,
+        "actual_s": float(actual_s[0]),
     }
 
 
@@ -297,7 +314,7 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
     the scalar code runs it.
     """
     R, n = perms.shape
-    fail = failed[perms]
+    fail, dur = failed[perms], actual_dur[perms]
     m = int(failed.sum())
     positions = np.arange(1, n + 1)
     none = [None] * R
@@ -308,12 +325,13 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
         out["apfd"] = none
 
     taken, remaining = budget_walk(est_dur[perms], budget_s)
-    n_sel = taken.sum(axis=1)
-    hit = taken & fail
+    ran, actual_s = _run_until_deadline(taken, dur, budget_s)
+    n_sel = ran.sum(axis=1)
+    hit = ran & fail
     detected = hit.sum(axis=1)
     if n_faults:
         p = detected / n_faults
-        ranks = np.cumsum(taken, axis=1)
+        ranks = np.cumsum(ran, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             score = p - (ranks * hit).sum(axis=1) / (n_sel * n_faults) + p / (2 * n_sel)
         out["napfd"] = np.where(n_sel > 0, score, 0.0).tolist()
@@ -321,7 +339,7 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
         out["napfd"] = none
 
     if m:
-        at_faults = np.cumsum(actual_dur[perms], axis=1)[fail].reshape(R, m)
+        at_faults = np.cumsum(dur, axis=1)[fail].reshape(R, m)
         out["ft_s"] = at_faults[:, 0].tolist()
         out["lt_s"] = at_faults[:, -1].tolist()
         out["at_s"] = at_faults.mean(axis=1).tolist()  # per row, pairwise as np.mean adds
@@ -330,6 +348,7 @@ def _evaluate_orders(perms: np.ndarray, failed: np.ndarray, actual_dur: np.ndarr
     out["n_selected"] = n_sel.tolist()
     out["detected"] = detected.tolist()
     out["used_s"] = (budget_s - remaining).tolist()
+    out["actual_s"] = actual_s.tolist()
     return out
 
 
@@ -474,7 +493,7 @@ def aggregate_rows(rows: list[dict], strategies: Sequence[str]) -> list[dict]:
 
 PER_CYCLE_COLUMNS = [
     "dataset", "cycle", "strategy", "n_tests", "n_faults", "apfd", "napfd",
-    "ft_s", "lt_s", "at_s", "n_selected", "detected", "budget_s", "used_s",
+    "ft_s", "lt_s", "at_s", "n_selected", "detected", "budget_s", "used_s", "actual_s",
 ]
 AGGREGATE_COLUMNS = [
     "strategy", "cycles", "fault_cycles", "mean_apfd", "mean_napfd",

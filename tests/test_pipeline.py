@@ -210,6 +210,7 @@ class TestRunPipeline:
     def test_budget_safety_in_reports(self, tiny_result):
         for row in tiny_result.per_cycle:
             assert row["used_s"] <= row["budget_s"] + 1e-9
+            assert row["actual_s"] <= row["budget_s"]
 
     def test_phase_accounting(self, tiny_result):
         t = tiny_result.timings
@@ -387,26 +388,40 @@ class TestConfig:
 # digests hold on any machine. A change that means to move them updates the
 # digest here and says why.
 PINNED_PER_CYCLE = [
-    ("PAINT_CONTROL_LIKE", 42, "1e4e9136b15fc1234f67c56f10b08cedbc5ebfcb192646ea83b040a3d595ea81"),
-    ("IOFROL_LIKE", 11, "b922ab147d232d3951b04124a2ab69e8736d8fcec66e88551b7a2c25c1ff0ea7"),
+    ("PAINT_CONTROL_LIKE", 42, "ab9ed512ce761c2e88f4a7ca4ff554edb472990c0032d8f06394cefa98f5a552"),
+    ("IOFROL_LIKE", 11, "3c2a99ff8c1c86bd22263bf2a03bda6008499cc8eccd4d6777d7b1b97f2d5ef3"),
 ]
 
 
-@pytest.mark.parametrize("profile,seed,digest", PINNED_PER_CYCLE,
-                         ids=[p for p, _, _ in PINNED_PER_CYCLE])
-def test_untrained_strategy_rows_are_pinned(profile, seed, digest):
+@pytest.fixture(scope="module", params=PINNED_PER_CYCLE, ids=[p for p, _, _ in PINNED_PER_CYCLE])
+def untrained_rows(request):
+    profile, seed, digest = request.param
     cycles = generate_history(getattr(simulate, profile), seed=seed)
     plan = ExperimentPlan(dataset=cycles, strategies=("rocket", "random", "untreated"))
-    rows = run_pipeline(plan).per_cycle
+    return run_pipeline(plan).per_cycle, digest
+
+
+def test_untrained_strategy_rows_are_pinned(untrained_rows):
+    rows, digest = untrained_rows
     text = json.dumps(rows, sort_keys=True, default=repr)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_no_replayed_row_runs_past_its_budget(untrained_rows):
+    """The selection charges estimated seconds, so in actual seconds it can
+    overrun the budget; the tests the deadline stops must not be scored."""
+    rows, _ = untrained_rows
+    assert all(row["actual_s"] <= row["budget_s"] for row in rows)
+    assert all(row["used_s"] <= row["budget_s"] for row in rows)
 
 
 def reference_score(order, failed, actual, est, n_faults, budget_s):
     """One ordering scored the way the replay scored it when every test was
     an object: plain lists, a sequential budget walk and the metric
-    formulas written out. ``order`` lists positions into the per-test
-    lists. The array scorers must equal this bit for bit."""
+    formulas written out, plus the deadline: the selected tests run in
+    actual seconds, and NAPFD counts only those that finished within the
+    budget. ``order`` lists positions into the per-test lists. The array
+    scorers must equal this bit for bit."""
     fail = [failed[i] for i in order]
     n, m = len(order), sum(fail)
     positions = [k for k, f in enumerate(fail, start=1) if f]
@@ -420,23 +435,31 @@ def reference_score(order, failed, actual, est, n_faults, budget_s):
         if est[i] <= remaining:
             selected.append(i)
             remaining -= est[i]
-    hits = [k for k, i in enumerate(selected, start=1) if failed[i]]
+    elapsed, ran, actual_s = 0.0, [], 0.0
+    for i in selected:  # in actual seconds, until the deadline
+        elapsed += actual[i]
+        if elapsed > budget_s:
+            break
+        ran.append(i)
+        actual_s = elapsed
+    hits = [k for k, i in enumerate(ran, start=1) if failed[i]]
     if not n_faults:
         napfd = None
-    elif not selected:
+    elif not ran:
         napfd = 0.0
     else:
         p = len(hits) / n_faults
-        napfd = p - sum(hits) / (len(selected) * n_faults) + p / (2 * len(selected))
+        napfd = p - sum(hits) / (len(ran) * n_faults) + p / (2 * len(ran))
     return {
         "apfd": None if n == 0 or m == 0 else 1.0 - sum(positions) / (n * m) + 1.0 / (2 * n),
         "napfd": napfd,
         "ft_s": at_faults[0] if at_faults else None,
         "lt_s": at_faults[-1] if at_faults else None,
         "at_s": float(np.mean(at_faults)) if at_faults else None,
-        "n_selected": len(selected),
+        "n_selected": len(ran),
         "detected": len(hits),
         "used_s": budget_s - remaining,
+        "actual_s": actual_s,
     }
 
 
