@@ -36,31 +36,24 @@ class PrioritizedSuite:
     Held as parallel arrays in rank order: ``ids`` (object), ``priority``
     and ``duration_s`` (float64), and ``index``, the position each test
     had in the arrays given to :func:`rank` (``0..n-1`` for a suite built
-    any other way). Equality compares ids, priorities and durations.
+    from ``RankedTest`` records). Equality compares ids, priorities and
+    durations.
     """
-
-    __slots__ = ("ids", "priority", "duration_s", "index")
 
     def __init__(self, tests: Iterable[RankedTest] = ()):
         tests = tuple(tests)
-        self._fill(_object_array([t.test_id for t in tests]),
-                   np.array([t.priority for t in tests], dtype=np.float64),
-                   np.array([t.mean_duration_s for t in tests], dtype=np.float64),
-                   np.arange(len(tests)))
+        self.ids = _object_array([t.test_id for t in tests])
+        self.priority = np.array([t.priority for t in tests], dtype=np.float64)
+        self.duration_s = np.array([t.mean_duration_s for t in tests], dtype=np.float64)
+        self.index = np.arange(len(tests))
 
     @classmethod
     def from_arrays(cls, ids: np.ndarray, priority: np.ndarray, duration_s: np.ndarray,
-                    index: np.ndarray | None = None) -> "PrioritizedSuite":
+                    index: np.ndarray) -> "PrioritizedSuite":
         """A suite of arrays already in rank order (``ids`` of dtype object)."""
         suite = cls.__new__(cls)
-        suite._fill(ids, priority, duration_s,
-                    np.arange(len(ids)) if index is None else index)
+        suite.ids, suite.priority, suite.duration_s, suite.index = ids, priority, duration_s, index
         return suite
-
-    def _fill(self, ids, priority, duration_s, index) -> None:
-        if not len(ids) == len(priority) == len(duration_s) == len(index):
-            raise LengthMismatch(len(ids), len(priority))
-        self.ids, self.priority, self.duration_s, self.index = ids, priority, duration_s, index
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -71,8 +64,6 @@ class PrioritizedSuite:
         return (self.order() == other.order()
                 and np.array_equal(self.priority, other.priority)
                 and np.array_equal(self.duration_s, other.duration_s))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"PrioritizedSuite({self.tests!r})"
