@@ -5,8 +5,10 @@ early each ordering finds the real failures.
 
 Strategies: the learned model (deeporder), the deterministic recency rule
 (rocket), a 30-repetition random mean, and the untouched log order.
-Metrics: APFD on the full ordering, NAPFD under a 50% time budget, and
-time-to-fault numbers, with wall-clock phase accounting (PT/RT/TT).
+Metrics: APFD on the full ordering; NAPFD under a 50% time budget, where
+tests are selected on their mean past durations and stopped at the
+deadline in actual seconds; time-to-fault numbers; and wall-clock phase
+accounting (PT/RT/TT).
 """
 
 from pathlib import Path
