@@ -2,26 +2,38 @@
 
 Hidden layers use the Mish activation x * tanh(softplus(x)); the single
 output is linear. tanh(softplus(x)) is computed with one ``exp``: for
-e = exp(x) and n = e * (e + 2) it equals n / (n + 2). Every weight and
-bias lives in one flat float64 vector (``Network.params``); the per-layer
-``weights`` and ``biases`` are views into it, so one Adam update moves all
+e = exp(x) and n = e * (e + 2) it equals n / (n + 2). Mish's derivative
+reuses that exp: sigmoid(x) = e / (1 + e).
+
+Every weight and bias lives in one flat float64 vector
+(``Network.params``). Each layer stores its (din, dout) weights in C order
+followed by its dout biases, which is exactly the (din + 1, dout) block
+[W; b]; ``blocks``, ``weights`` and ``biases`` are views into the vector.
+Each layer input carries a trailing ones column, so a layer is one matrix
+product, z = [a | 1] @ [W; b], and the backward product [a | 1].T @ delta
+writes the layer's weight and bias gradients together, straight into a
+gradient vector laid out like ``params``. One Adam update then moves all
 parameters at once.
 
 Training minimizes mean-squared error with Adam, full-batch or in shuffled
-mini-batches (``TrainConfig.batch_size``; the replay uses 128). The epoch
-loss is taken on the whole training set at the top of every epoch, before
-that epoch's updates, and training stops early once it drops below a
-configurable floor. A training forward pass caches tanh(softplus(z)) of
-each hidden layer for the backward pass. The full-set loss of mini-batch
-mode and ``predict`` keep no cache: they run the layer chain over blocks
-of ``FORWARD_BLOCK_ROWS`` rows into one output vector, so their memory is
-a few block-sized buffers beyond that vector, whatever the row count.
-Models serialize to a versioned plain-text format that round-trips
-bit-exactly.
+mini-batches (``TrainConfig.batch_size``; the replay uses 128). ``train``
+allocates the buffers of one step once, sized for ``batch_size`` rows (all
+rows in full-batch mode): the layer inputs, and each hidden layer's z,
+exp(z) and tanh(softplus(z)) for the backward pass. The last, shorter
+batch of an epoch uses leading slices of them. The epoch loss is taken on
+the whole training set at the top of every epoch, before that epoch's
+updates, and training stops early once it drops below a configurable
+floor. Full-batch mode takes that loss from its step's own forward pass.
+Mini-batch mode and ``predict`` run the same layer chain without a cache,
+over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output vector, so
+their memory is a few block-sized buffers beyond that vector, whatever
+the row count. Models serialize to a versioned plain-text format that
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -65,19 +77,38 @@ def mish(x):
     return x * _tanh_softplus(x)
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _mish_into(z, e, t, a):
+    """a = mish(z), leaving e = exp(min(z, clip)) and t = tanh(softplus(z))
+    for the derivative. ``a`` doubles as scratch for n + 2."""
+    np.minimum(z, _EXP_CLIP, out=e)
+    np.exp(e, out=e)
+    np.add(e, 2.0, out=t)
+    t *= e
+    np.add(t, 2.0, out=a)
+    np.divide(t, a, out=t)
+    np.multiply(z, t, out=a)
 
 
-def _mish_prime(x, t):
-    """Derivative of Mish at x, given t = tanh(softplus(x))."""
-    return t + x * (1.0 - t * t) * _sigmoid(x)
+def _mish_prime_into(z, e, t, s, out):
+    """out = t + z * (1 - t * t) * sigmoid(z), with sigmoid = e / (1 + e)
+    from the forward's e and t; ``s`` is scratch."""
+    np.add(e, 1.0, out=s)
+    np.divide(e, s, out=s)
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= z
+    out *= s
+    out += t
+    return out
 
 
 def mish_prime(x):
-    """Analytic derivative: tanh(sp(x)) + x * sech^2(sp(x)) * sigmoid(x)."""
+    """Analytic derivative: tanh(sp(x)) + x * sech^2(sp(x)) * sigmoid(x),
+    computed as in training."""
     x = np.asarray(x, dtype=np.float64)
-    return _mish_prime(x, _tanh_softplus(x))
+    e, t, s, out = (np.empty_like(x) for _ in range(4))
+    _mish_into(x, e, t, out)
+    return _mish_prime_into(x, e, t, s, out)
 
 
 # --- network --------------------------------------------------------------
@@ -91,16 +122,28 @@ def _flatten(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> np.
                           dtype=np.float64)
 
 
+def _layer_blocks(flat: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """The (din + 1, dout) block [W; b] of each layer, as views of ``flat``."""
+    blocks, start = [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        size = (din + 1) * dout
+        blocks.append(flat[start : start + size].reshape(din + 1, dout))
+        start += size
+    return blocks
+
+
 @dataclass
 class Network:
     """Layer sizes plus parameters. Construction copies the given arrays
-    into one flat vector, ``params``; ``weights`` and ``biases`` are views
-    into it, so writing through either changes both."""
+    into one flat vector, ``params``; ``blocks`` ([W; b] per layer),
+    ``weights`` and ``biases`` are views into it, so writing through any
+    of them changes all."""
 
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 2:
@@ -112,13 +155,9 @@ class Network:
             if w.shape != (din, dout) or b.shape != (dout,):
                 raise ValueError(f"bad parameter shapes for layer {din}->{dout}")
         self.params = _flatten(self.weights, self.biases)
-        self.weights, self.biases = [], []
-        start = 0
-        for din, dout in expect:
-            self.weights.append(self.params[start : start + din * dout].reshape(din, dout))
-            start += din * dout
-            self.biases.append(self.params[start : start + dout])
-            start += dout
+        self.blocks = _layer_blocks(self.params, self.dims)
+        self.weights = [block[:-1] for block in self.blocks]
+        self.biases = [block[-1] for block in self.blocks]
 
     @property
     def input_dim(self) -> int:
@@ -147,10 +186,12 @@ def xavier_init(dims: Sequence[int], rng: np.random.Generator) -> Network:
     return Network(dims, weights, biases)
 
 
+# --- layer chain ----------------------------------------------------------
+
 # Rows per block of the no-cache forward pass. The matrix products compute
-# each output row from its input row alone, so blocking leaves every
+# each prediction from its own row of X alone, so blocking leaves every
 # prediction bit-equal to a full-set pass.
-FORWARD_BLOCK_ROWS = 4096
+FORWARD_BLOCK_ROWS = 1024
 
 
 def _as_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -164,44 +205,116 @@ def _as_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def _chain(net: Network, a: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """The layer chain on a 2-d batch. With a ``cache``, appends every
-    layer's input, each hidden pre-activation z and its tanh(softplus(z));
-    without one, only the current layer is held."""
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w
-        z += b
-        if i == last:
-            a = z
-        elif cache is not None:
-            t = _tanh_softplus(z)
-            cache["pre"].append(z)
-            cache["tanh_sp"].append(t)
-            a = z * t
-        else:
-            a = _tanh_softplus(z)
-            a *= z
-        if cache is not None:
-            cache["activations"].append(a)
-    return a[:, 0]
+def _with_ones(width: int, cols: int) -> np.ndarray:
+    """An uninitialized (width + 1, cols) array whose last row is ones."""
+    a = np.empty((width + 1, cols))
+    a[width] = 1.0
+    return a
 
 
-def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, dict]:
+class _Workspace:
+    """Buffers of one training step over ``rows`` rows of X.
+
+    Every buffer is feature-major: column j belongs to row j of the batch,
+    so an elementwise pass over a layer runs over whole contiguous rows.
+    ``inputs[i]`` is layer i's input [a | 1] transposed, its last row
+    ones, and ``z[i] = blocks[i].T @ inputs[i]`` is the transposed
+    [a | 1] @ [W; b]; the forward writes each hidden activation into the
+    leading rows of the next input. ``exp`` and ``tanh_sp`` keep each
+    hidden layer's exp(min(z, clip)) and tanh(softplus(z)). ``delta[i]``
+    is the loss gradient w.r.t. z of layer i; the output layer's holds the
+    residual preds - labels until the backward pass scales it. ``grad`` is
+    laid out like ``Network.params``, with ``grad_blocks`` its per-layer
+    views, and ``adam`` is the optimizer's scratch."""
+
+    def __init__(self, dims: Sequence[int], rows: int):
+        self.rows = rows
+        self.inputs = [_with_ones(d, rows) for d in dims[:-1]]
+        self.z = [np.empty((d, rows)) for d in dims[1:]]
+        self.exp = [np.empty((d, rows)) for d in dims[1:-1]]
+        self.tanh_sp = [np.empty((d, rows)) for d in dims[1:-1]]
+        self.delta = [np.empty((d, rows)) for d in dims[1:]]
+        self.scratch = [np.empty((d, rows)) for d in dims[1:-1]]
+        self.labels = np.empty(rows)
+        self.grad = np.empty(sum((din + 1) * dout for din, dout in zip(dims[:-1], dims[1:])))
+        self.grad_blocks = _layer_blocks(self.grad, dims)
+        self.adam = np.empty((2, self.grad.size))
+
+    def narrow(self, rows: int) -> "_Workspace":
+        """The same buffers cut to their first ``rows`` columns, for the
+        last, shorter batch of an epoch."""
+        view = copy.copy(self)
+        view.rows = rows
+        for name in ("inputs", "z", "exp", "tanh_sp", "delta", "scratch"):
+            setattr(view, name, [b[:, :rows] for b in getattr(self, name)])
+        view.labels = self.labels[:rows]
+        return view
+
+
+def _forward(net: Network, ws: _Workspace) -> np.ndarray:
+    """The layer chain over the batch in ``ws.inputs[0]``, keeping what the
+    backward pass needs; returns the predictions."""
+    last = len(net.blocks) - 1
+    for i, block in enumerate(net.blocks):
+        z = np.matmul(block.T, ws.inputs[i], out=ws.z[i])
+        if i < last:
+            _mish_into(z, ws.exp[i], ws.tanh_sp[i], ws.inputs[i + 1][:-1])
+    return z[0]
+
+
+def _residual(ws: _Workspace, labels: np.ndarray) -> np.ndarray:
+    """preds - labels, kept in the output layer's delta."""
+    return np.subtract(ws.z[-1][0], labels, out=ws.delta[-1][0])
+
+
+def _backward(net: Network, ws: _Workspace, grad_blocks: list[np.ndarray]) -> None:
+    """Gradients of the batch-mean squared error, from the residual
+    ``_residual`` left, written into ``grad_blocks``: each layer's block
+    is [a | 1].T @ delta."""
+    delta = ws.delta[-1]
+    delta *= 2.0 / ws.rows
+    for i in reversed(range(len(net.blocks))):
+        np.matmul(ws.inputs[i], delta.T, out=grad_blocks[i])
+        if i > 0:
+            s, prev = ws.scratch[i - 1], ws.delta[i - 1]
+            _mish_prime_into(ws.z[i - 1], ws.exp[i - 1], ws.tanh_sp[i - 1], s, prev)
+            np.matmul(net.weights[i], delta, out=s)
+            prev *= s
+            delta = prev
+
+
+def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, _Workspace]:
     """Batch forward pass; returns predictions and the cache backward needs."""
     x, squeeze = _as_rows(net, x)
-    cache = {"activations": [x], "pre": [], "tanh_sp": []}
-    preds = _chain(net, x, cache)
+    cache = _Workspace(net.dims, x.shape[0])
+    cache.inputs[0][:-1] = x.T
+    preds = _forward(net, cache)
     return (preds[0] if squeeze else preds), cache
 
 
+def backward(net: Network, cache: _Workspace, labels: np.ndarray
+             ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gradients of batch-mean squared error w.r.t. every weight and bias."""
+    grad_blocks = _layer_blocks(np.empty_like(net.params), net.dims)
+    _residual(cache, np.asarray(labels, dtype=np.float64))
+    _backward(net, cache, grad_blocks)
+    return [g[:-1] for g in grad_blocks], [g[-1] for g in grad_blocks]
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Predictions without a cache, one block of rows at a time."""
+    """Predictions without a cache, one block of rows at a time; each
+    layer's buffers are dropped once the next layer's input is built."""
     x, squeeze = _as_rows(net, x)
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
-        rows = slice(start, start + FORWARD_BLOCK_ROWS)
-        out[rows] = _chain(net, x[rows])
+        rows = x[start : start + FORWARD_BLOCK_ROWS]
+        a = _with_ones(rows.shape[1], rows.shape[0])
+        a[:-1] = rows.T
+        for block in net.blocks[:-1]:
+            z = block.T @ a
+            a = _with_ones(*z.shape)
+            _mish_into(z, np.empty_like(z), np.empty_like(z), a[:-1])
+        out[start : start + len(rows)] = (net.blocks[-1].T @ a)[0]
     return out[0] if squeeze else out
 
 
@@ -214,24 +327,6 @@ def mse(preds: Sequence[float], labels: Sequence[float]) -> float:
         raise ValueError("mse of empty sequences is undefined")
     diff = preds - labels
     return float(diff @ diff / diff.size)
-
-
-def backward(net: Network, cache: dict, labels: np.ndarray
-             ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of batch-mean squared error w.r.t. every weight and bias."""
-    labels = np.asarray(labels, dtype=np.float64)
-    activations, pre, tanh_sp = cache["activations"], cache["pre"], cache["tanh_sp"]
-    n = activations[0].shape[0]
-    preds = activations[-1][:, 0]
-    delta = (2.0 / n) * (preds - labels)[:, None]
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    for i in reversed(range(len(net.weights))):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * _mish_prime(pre[i - 1], tanh_sp[i - 1])
-    return grads_w, grads_b
 
 
 # --- optimizer ------------------------------------------------------------
@@ -268,22 +363,37 @@ class AdamState:
         return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(net: Network, grads: tuple[list[np.ndarray], list[np.ndarray]],
-              state: AdamState, config: TrainConfig) -> tuple[Network, AdamState]:
-    """One bias-corrected Adam update of the whole parameter vector, in place."""
-    g = _flatten(*grads)
+def _adam(params: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConfig,
+          scratch: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``params`` in place, through the
+    two params-sized rows of ``scratch``."""
     state.step += 1
     t = state.step
     b1, b2, eps, lr = (config.adam_beta1, config.adam_beta2,
                        config.adam_eps, config.learning_rate)
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
+    s, u = scratch
     m, v = state.m, state.v
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=s)
     v *= b2
-    v += (1.0 - b2) * g * g
-    net.params -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
+    np.divide(v, corr2, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    np.divide(m, corr1, out=u)
+    u *= lr
+    u /= s
+    params -= u
+
+
+def adam_step(net: Network, grads: tuple[list[np.ndarray], list[np.ndarray]],
+              state: AdamState, config: TrainConfig) -> tuple[Network, AdamState]:
+    """One bias-corrected Adam update of the whole parameter vector, in place."""
+    _adam(net.params, _flatten(*grads), state, config, np.empty((2, net.params.size)))
     return net, state
 
 
@@ -301,23 +411,69 @@ class TrainResult:
         return self.epoch_mse[-1]
 
 
+def _mean_square(r: np.ndarray) -> float:
+    return float(r @ r / r.size)
+
+
+def _full_set_loss(net: Network, X: np.ndarray, y: np.ndarray) -> float:
+    """MSE of the whole set through the no-cache chain; the prediction
+    vector becomes the residual and is dropped on return."""
+    r = predict(net, X)
+    r -= y
+    return _mean_square(r)
+
+
+def _step(net: Network, ws: _Workspace, state: AdamState, config: TrainConfig) -> None:
+    """Backward from the residual in ``ws``, then one Adam update."""
+    _backward(net, ws, ws.grad_blocks)
+    _adam(net.params, ws.grad, state, config, ws.adam)
+
+
+def _mini_batch_epoch(net: Network, ws: _Workspace, X: np.ndarray, y: np.ndarray,
+                      rng: np.random.Generator, state: AdamState, config: TrainConfig) -> None:
+    """One shuffled pass of mini-batch updates; the shuffle order is the
+    only n-sized buffer, and it is dropped on return."""
+    order = rng.permutation(X.shape[0])
+    last = ws.narrow(len(order) % ws.rows or ws.rows)
+    for start in range(0, len(order), ws.rows):
+        idx = order[start : start + ws.rows]
+        batch = ws if idx.size == ws.rows else last
+        batch.inputs[0][:-1] = X[idx].T
+        np.take(y, idx, out=batch.labels)
+        _forward(net, batch)
+        _residual(batch, batch.labels)
+        _step(net, batch, state, config)
+
+
 def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> TrainResult:
     """Train until the full-set MSE drops below ``mse_stop`` or epochs run out.
 
     The loss is evaluated on the whole training set at the top of every
     epoch, so the recorded ``epoch_mse`` sequence is comparable across
-    batch modes. Raises NonFiniteLoss (with diagnostics) the moment the
-    loss stops being a number.
+    batch modes. Raises ValueError, before any update, on a non-finite
+    feature or a label outside [0, 1], and NonFiniteLoss (with
+    diagnostics) the moment the loss stops being a number.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a non-empty 2-d array")
+    if X.shape[1] != net.input_dim:
+        raise DimMismatch(X.shape[1], net.input_dim)
     if y.shape != (X.shape[0],):
         raise LengthMismatch(X.shape[0], y.size)
-    if not np.all(np.isfinite(y)) or y.min() < 0 or y.max() > 1:
+    # min and max propagate NaN, so these two reductions see every bad value
+    if not (0.0 <= y.min() and y.max() <= 1.0):
         raise ValueError("labels must be finite and within [0, 1]")
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ValueError(f"features must be finite; row {bad} is not")
 
+    n = X.shape[0]
+    full_batch = config.batch_size is None
+    ws = _Workspace(net.dims, n if full_batch else min(config.batch_size, n))
+    if full_batch:
+        ws.inputs[0][:-1] = X.T
     rng = np.random.default_rng(config.rng_seed)
     state = AdamState.zeros(net)
     epoch_mse: list[float] = []
@@ -325,28 +481,23 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            # mini-batch updates need no full-set cache
-            if config.batch_size is None:
-                preds, cache = forward(net, X)
+            if full_batch:
+                _forward(net, ws)
+                loss = _mean_square(_residual(ws, y))
             else:
-                preds = predict(net, X)
-            loss = mse(preds, y)
+                loss = _full_set_loss(net, X, y)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch}: loss={loss}; max |param| = "
-                    f"{max(float(np.abs(w).max()) for w in net.weights)}"
+                    f"{float(np.abs(net.params).max())}"
                 )
             epoch_mse.append(loss)
             if loss < config.mse_stop:
                 return TrainResult(net, epoch_mse, epoch, "mse_stop")
-            if config.batch_size is None:
-                adam_step(net, backward(net, cache, y), state, config)
+            if full_batch:
+                _step(net, ws, state, config)
             else:
-                order = rng.permutation(X.shape[0])
-                for start in range(0, len(order), config.batch_size):
-                    idx = order[start : start + config.batch_size]
-                    _, bcache = forward(net, X[idx])
-                    adam_step(net, backward(net, bcache, y[idx]), state, config)
+                _mini_batch_epoch(net, ws, X, y, rng, state, config)
     return TrainResult(net, epoch_mse, config.epochs_max, "epochs_max")
 
 

@@ -81,9 +81,45 @@ class TestMish:
     def test_bit_identical_to_the_plain_formulas(self):
         x = np.random.default_rng(12).normal(scale=6.0, size=5000)
         t = plain_tanh_softplus(x)
-        sigmoid = 0.5 * (1.0 + np.tanh(0.5 * x))
+        e = np.exp(np.minimum(x, 20.0))
+        sigmoid = e / (1.0 + e)
         assert np.array_equal(mish(x), x * t)
         assert np.array_equal(mish_prime(x), t + x * (1.0 - t * t) * sigmoid)
+
+    def test_derivative_within_2_ulp_of_the_tanh_formula(self):
+        """mish_prime takes sigmoid from exp, as training does; the tanh
+        formula takes it as (1 + tanh(x / 2)) / 2. Both round 1 - t * t to
+        an absolute error of about ulp(1), which the factor x scales, so
+        ulps are counted at max(1, |x|)."""
+        x = np.linspace(-50.0, 50.0, 1_000_001)
+        t = plain_tanh_softplus(x)
+        tanh_formula = t + x * (1.0 - t * t) * (0.5 * (1.0 + np.tanh(0.5 * x)))
+        err = np.abs(mish_prime(x) - tanh_formula)
+        assert (err <= 2 * np.spacing(np.maximum(1.0, np.abs(x)))).all()
+
+    def test_derivative_keeps_its_relative_accuracy_for_negative_x(self):
+        """Below x = -2 the derivative is about e^x * (1 + x). Against the
+        formula in extended precision, with sigmoid as 1 / (1 + e^-x),
+        mish_prime stays within 8 ulp of its own value; the float64 tanh
+        formula, whose 1 + tanh(x / 2) cancels, is off by up to 2^53 ulp
+        near x = -38."""
+        x = np.linspace(-50.0, -2.0, 200_001)
+        xl = x.astype(np.longdouble)
+        sp = np.logaddexp(np.longdouble(0.0), xl)
+        ref = (np.tanh(sp) + xl / (1 + np.exp(-xl)) / np.cosh(sp) ** 2).astype(np.float64)
+        ulps = np.abs(mish_prime(x) - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 8.0, x[ulps.argmax()]
+
+    def test_derivative_is_exactly_one_from_the_clip(self):
+        z = np.concatenate([np.linspace(20.0, 60.0, 4001), [1e3, 1e300]])
+        assert np.all(mish_prime(z) == 1.0)
+
+    @pytest.mark.parametrize("z", [-760.0, -800.0, -1e300, np.finfo(np.float64).min])
+    def test_derivative_tends_to_zero_not_nan(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mish_prime(np.array([z]))
+        assert abs(float(value[0])) <= np.nextafter(0.0, 1.0)
 
     def test_within_8_ulp_of_the_logaddexp_formula(self):
         x = np.concatenate([np.linspace(-745.0, 60.0, 2_000_001),
@@ -350,6 +386,58 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss):
             train(net, np.ones((2, 2)), np.array([0.5, 0.5]), TrainConfig())
 
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_divergence_diagnostic_sees_a_blown_up_bias(self, batch_size):
+        net = xavier_init((2, 3, 1), np.random.default_rng(0))
+        net.biases[-1][0] = 1e300
+        with pytest.raises(NonFiniteLoss, match=r"epoch 1: .*max \|param\| = 1e\+300"):
+            train(net, np.ones((4, 2)), np.full(4, 0.5), TrainConfig(batch_size=batch_size))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_non_finite_feature_is_rejected_naming_its_row(self, value, row):
+        X = np.random.default_rng(4).uniform(-1, 1, (7, 3))
+        X[row, 1] = value
+        X[6, 2] = value  # a later bad row must not be the one named
+        net = xavier_init((3, 2, 1), np.random.default_rng(0))
+        before = net.params.copy()
+        with pytest.raises(ValueError, match=rf"features must be finite; row {row} is not"):
+            train(net, X, np.full(7, 0.5), TrainConfig(batch_size=4))
+        assert np.array_equal(net.params, before)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_bad_label_is_rejected(self, value):
+        y = np.full(5, 0.5)
+        y[2] = value
+        net = xavier_init((3, 2, 1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="labels must be finite and within"):
+            train(net, np.zeros((5, 3)), y, TrainConfig())
+
+    def test_input_width_mismatch(self):
+        net = xavier_init((3, 2, 1), np.random.default_rng(0))
+        with pytest.raises(DimMismatch):
+            train(net, np.zeros((5, 4)), np.full(5, 0.5), TrainConfig(batch_size=2))
+
+    def test_mini_batch_memory_is_bounded_beyond_the_data(self):
+        """Mini-batch training holds one n-float vector at a time (the
+        epoch-top predictions, then the shuffle order) plus buffers whose
+        size does not grow with n: the 128-row step and the no-cache loss
+        pass's blocks. Measured: 1.00 MB beyond X, y and one n-float vector;
+        the bound is twice that. One n x 20 layer buffer would be
+        8 MB."""
+        n = 50_000
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1, 1, (n, 14))
+        y = rng.uniform(size=n)
+        net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(22))
+        tracemalloc.start()
+        try:
+            train(net, X, y, TrainConfig(epochs_max=2, mse_stop=1e-9, batch_size=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * 8 < 2_000_000, peak - n * 8
+
     def test_mini_batch_mode(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (64, 4))
@@ -428,7 +516,45 @@ class TestSerialization:
 # --- bit-identity against the plain training step ---------------------------
 
 def plain_forward(weights, biases, x):
-    """Layer chain keeping every activation and pre-activation."""
+    """The folded layer chain written out, feature-major as train() stores
+    it: column j is row j of ``x``. Each layer input gains a row of ones
+    and meets the block [W; b], z = [W; b].T @ [a | 1].T, the transposed
+    [a | 1] @ [W; b]. Keeps every such input and, per hidden layer, z,
+    e = exp(min(z, 20)) and t = tanh(softplus(z))."""
+    inputs, hidden = [], []
+    a = x.T.copy()  # C order, as train() stores it: BLAS rounds by layout
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = np.vstack([a, np.ones((1, a.shape[1]))])
+        inputs.append(a)
+        z = np.vstack([w, b]).T @ a
+        if i == last:
+            return z[0], inputs, hidden
+        e = np.exp(np.minimum(z, 20.0))
+        n = e * (e + 2.0)
+        t = n / (n + 2.0)
+        hidden.append((z, e, t))
+        a = z * t
+
+
+def plain_backward(weights, preds, inputs, hidden, labels):
+    """[a | 1].T @ delta gives each layer's weight and bias gradients in one
+    product; the Mish derivative takes sigmoid(z) = e / (1 + e) from the
+    forward's e. Deltas are feature-major like the forward's buffers."""
+    n = inputs[0].shape[1]
+    delta = (2.0 / n) * (preds - labels)[None, :]
+    grads = [None] * len(weights)
+    for i in reversed(range(len(weights))):
+        grads[i] = inputs[i] @ delta.T
+        if i > 0:
+            z, e, t = hidden[i - 1]
+            sigmoid = e / (1.0 + e)
+            delta = (weights[i] @ delta) * (t + z * (1.0 - t * t) * sigmoid)
+    return [g[:-1] for g in grads], [g[-1] for g in grads]
+
+
+def unfolded_forward(weights, biases, x):
+    """The layer chain before folding: a @ W, then + b."""
     activations, pre = [x], []
     a = x
     last = len(weights) - 1
@@ -440,8 +566,8 @@ def plain_forward(weights, biases, x):
     return a[:, 0], activations, pre
 
 
-def plain_backward(weights, activations, pre, labels):
-    """Backward pass that recomputes the Mish derivative with mish_prime."""
+def unfolded_backward(weights, activations, pre, labels):
+    """Bias gradients as column sums, and sigmoid(z) from its own tanh."""
     n = activations[0].shape[0]
     delta = (2.0 / n) * (activations[-1][:, 0] - labels)[:, None]
     grads_w, grads_b = [None] * len(weights), [None] * len(weights)
@@ -449,15 +575,19 @@ def plain_backward(weights, activations, pre, labels):
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ weights[i].T) * mish_prime(pre[i - 1])
+            z = pre[i - 1]
+            t = plain_tanh_softplus(z)
+            sigmoid = 0.5 * (1.0 + np.tanh(0.5 * z))
+            delta = (delta @ weights[i].T) * (t + z * (1.0 - t * t) * sigmoid)
     return grads_w, grads_b
 
 
-def plain_train(net, X, y, config):
+def plain_train(net, X, y, config, folded=True):
     """Adam on MSE with one update loop per parameter array, written out.
 
     The loss is taken at the top of every epoch from a forward pass that
     keeps its cache; full-batch mode reuses that cache for the update.
+    ``folded=False`` runs the unfolded chain instead.
     """
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
@@ -480,36 +610,51 @@ def plain_train(net, X, y, config):
             v += (1.0 - b2) * g * g
             p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
+    def gradients(x, labels):
+        if folded:
+            preds, inputs, hidden = plain_forward(weights, biases, x)
+            return preds, lambda: plain_backward(weights, preds, inputs, hidden, labels)
+        preds, activations, pre = unfolded_forward(weights, biases, x)
+        return preds, lambda: unfolded_backward(weights, activations, pre, labels)
+
     rng = np.random.default_rng(config.rng_seed)
     epoch_mse = []
     for _ in range(config.epochs_max):
-        preds, activations, pre = plain_forward(weights, biases, X)
+        preds, grads = gradients(X, y)
         diff = preds - y
         loss = float(diff @ diff / diff.size)
         epoch_mse.append(loss)
         if loss < config.mse_stop:
             break
         if config.batch_size is None:
-            update(*plain_backward(weights, activations, pre, y))
+            update(*grads())
         else:
             order = rng.permutation(X.shape[0])
             for start in range(0, len(order), config.batch_size):
                 idx = order[start : start + config.batch_size]
-                _, b_act, b_pre = plain_forward(weights, biases, X[idx])
-                update(*plain_backward(weights, b_act, b_pre, y[idx]))
+                update(*gradients(X[idx], y[idx])[1]())
     return weights, biases, epoch_mse
+
+
+def unfolded_train(net, X, y, config):
+    """The training step as it was before the bias was folded into the
+    matrix product and sigmoid(z) taken from the forward's exp."""
+    return plain_train(net, X, y, config, folded=False)
 
 
 class TestBitIdentity:
     """train() must do the same arithmetic as the plain step, bit for bit."""
 
     @pytest.mark.parametrize("dims", [(6, 5, 1), (14, 10, 20, 15, 1), (3, 7, 4, 1)])
-    @pytest.mark.parametrize("batch_size", [None, 16])
+    # 90 rows: one row per batch, a last batch of 10, one batch of exactly
+    # n, and a batch size above n
+    @pytest.mark.parametrize("batch_size", [None, 1, 16, 90, 128])
     def test_train_matches_plain_training_step(self, dims, batch_size):
         rng = np.random.default_rng(sum(dims) + (batch_size or 0))
         X = rng.uniform(-1, 1, (90, dims[0]))
         y = rng.uniform(size=90)
-        config = TrainConfig(epochs_max=25, batch_size=batch_size, rng_seed=11)
+        epochs = 3 if batch_size == 1 else 25
+        config = TrainConfig(epochs_max=epochs, batch_size=batch_size, rng_seed=11)
         start = xavier_init(dims, np.random.default_rng(4))
         weights, biases, epoch_mse = plain_train(start, X, y, config)
         result = train(start.copy(), X, y, config)
@@ -538,8 +683,33 @@ class TestBitIdentity:
         X = rng.normal(scale=3.0, size=(200, 14))
         y = rng.uniform(size=200)
         _, cache = forward(net, X)
-        _, activations, pre = plain_forward(net.weights, net.biases, X)
+        preds, inputs, hidden = plain_forward(net.weights, net.biases, X)
         grads_w, grads_b = backward(net, cache, y)
-        plain_w, plain_b = plain_backward(net.weights, activations, pre, y)
+        plain_w, plain_b = plain_backward(net.weights, preds, inputs, hidden, y)
         assert all(np.array_equal(a, b) for a, b in zip(grads_w, plain_w))
         assert all(np.array_equal(a, b) for a, b in zip(grads_b, plain_b))
+
+    def test_backward_twice_on_one_cache_gives_the_same_gradients(self):
+        rng = np.random.default_rng(48)
+        net = xavier_init((6, 5, 4, 1), rng)
+        _, cache = forward(net, rng.normal(size=(30, 6)))
+        y = rng.uniform(size=30)
+        first, second = backward(net, cache, y), backward(net, cache, y)
+        assert all(np.array_equal(a, b) for a, b in zip(first[0] + first[1],
+                                                        second[0] + second[1]))
+
+    def test_unfolded_step_reaches_the_same_epoch_and_parameters(self):
+        """Folding the bias and deriving sigmoid from exp moves parameters
+        only in their last bits: the same stop epoch, parameters within
+        1e-12 of the unfolded step's."""
+        rng = np.random.default_rng(49)
+        X = rng.uniform(0, 1, (600, 14))
+        y = X[:, :10] @ np.linspace(0.1, 0.0, 10) / 0.55
+        config = TrainConfig(mse_stop=2e-3, batch_size=128, rng_seed=13)
+        start = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(9))
+        weights, biases, epoch_mse = unfolded_train(start, X, y, config)
+        result = train(start.copy(), X, y, config)
+        assert result.reason == "mse_stop"
+        assert result.stopped_epoch == len(epoch_mse)
+        unfolded = np.concatenate([p.ravel() for w, b in zip(weights, biases) for p in (w, b)])
+        assert np.abs(result.net.params - unfolded).max() <= 1e-12
