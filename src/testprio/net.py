@@ -9,26 +9,32 @@ Every weight and bias lives in one flat float64 vector
 (``Network.params``). Each layer stores its (din, dout) weights in C order
 followed by its dout biases, which is exactly the (din + 1, dout) block
 [W; b]; ``blocks``, ``weights`` and ``biases`` are views into the vector.
-Each layer input carries a trailing ones column, so a layer is one matrix
-product, z = [a | 1] @ [W; b], and the backward product [a | 1].T @ delta
-writes the layer's weight and bias gradients together, straight into a
-gradient vector laid out like ``params``. One Adam update then moves all
-parameters at once.
+Each layer input carries a ones column, so a layer is one matrix product,
+z = [a | 1] @ [W; b], and the backward product [a | 1].T @ delta writes
+the layer's weight and bias gradients together, straight into a gradient
+vector laid out like ``params``. One Adam update then moves all
+parameters at once. The layer buffers are feature-major (one column per
+row of X, so the forward computes [W; b].T @ [a | 1].T): every
+elementwise pass then runs over contiguous rows as wide as the batch,
+where a row-major [a | 1] would make it stride over 10-20 values at a
+time.
 
 Training minimizes mean-squared error with Adam, full-batch or in shuffled
 mini-batches (``TrainConfig.batch_size``; the replay uses 128). ``train``
 allocates the buffers of one step once, sized for ``batch_size`` rows (all
 rows in full-batch mode): the layer inputs, and each hidden layer's z,
-exp(z) and tanh(softplus(z)) for the backward pass. The last, shorter
-batch of an epoch uses leading slices of them. The epoch loss is taken on
-the whole training set at the top of every epoch, before that epoch's
-updates, and training stops early once it drops below a configurable
-floor. Full-batch mode takes that loss from its step's own forward pass.
-Mini-batch mode and ``predict`` run the same layer chain without a cache,
-over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output vector, so
-their memory is a few block-sized buffers beyond that vector, whatever
-the row count. Models serialize to a versioned plain-text format that
-round-trips bit-exactly.
+exp(min(z, 20)) and tanh(softplus(z)) for the backward pass. The last,
+shorter batch of an epoch uses their leading columns. The epoch loss is
+taken on the whole training set at the top of every epoch, before that
+epoch's updates, and training stops early once it drops below a
+configurable floor. Full-batch mode takes that loss from its step's own
+forward pass. Mini-batch mode and ``predict`` run the same layer chain
+without a cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one
+output vector, so their memory is a few block-sized buffers beyond that
+vector, whatever the row count.
+
+Models serialize to a versioned plain-text format that round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -61,32 +67,27 @@ MODEL_VERSION = "1"
 _EXP_CLIP = 20.0
 
 
-def _tanh_softplus(z):
-    """tanh(softplus(z)) as n / (n + 2) with e = exp(z), n = e * (e + 2)."""
-    e = np.minimum(z, _EXP_CLIP, out=np.empty_like(z))
+def _tanh_softplus_into(z, e, t, s):
+    """t = tanh(softplus(z)) as n / (n + 2) with e = exp(z), n = e * (e + 2),
+    leaving e = exp(min(z, clip)) for the derivative. ``s`` takes n + 2
+    and may be ``e`` when e is not needed afterwards."""
+    np.minimum(z, _EXP_CLIP, out=e)
     np.exp(e, out=e)
-    n = np.add(e, 2.0, out=np.empty_like(e))
-    n *= e
-    np.add(n, 2.0, out=e)
-    return np.divide(n, e, out=e)
+    np.add(e, 2.0, out=t)
+    t *= e
+    np.add(t, 2.0, out=s)
+    return np.divide(t, s, out=t)
+
+
+def _tanh_softplus(z):
+    e = np.empty_like(z)
+    return _tanh_softplus_into(z, e, np.empty_like(z), e)
 
 
 def mish(x):
     """x * tanh(softplus(x))."""
     x = np.asarray(x, dtype=np.float64)
     return x * _tanh_softplus(x)
-
-
-def _mish_into(z, e, t, a):
-    """a = mish(z), leaving e = exp(min(z, clip)) and t = tanh(softplus(z))
-    for the derivative. ``a`` doubles as scratch for n + 2."""
-    np.minimum(z, _EXP_CLIP, out=e)
-    np.exp(e, out=e)
-    np.add(e, 2.0, out=t)
-    t *= e
-    np.add(t, 2.0, out=a)
-    np.divide(t, a, out=t)
-    np.multiply(z, t, out=a)
 
 
 def _mish_prime_into(z, e, t, s, out):
@@ -107,7 +108,7 @@ def mish_prime(x):
     computed as in training."""
     x = np.asarray(x, dtype=np.float64)
     e, t, s, out = (np.empty_like(x) for _ in range(4))
-    _mish_into(x, e, t, out)
+    _tanh_softplus_into(x, e, t, s)
     return _mish_prime_into(x, e, t, s, out)
 
 
@@ -227,7 +228,8 @@ class _Workspace:
     laid out like ``Network.params``, with ``grad_blocks`` its per-layer
     views, and ``adam`` is the optimizer's scratch."""
 
-    def __init__(self, dims: Sequence[int], rows: int):
+    def __init__(self, net: Network, rows: int):
+        dims = net.dims
         self.rows = rows
         self.inputs = [_with_ones(d, rows) for d in dims[:-1]]
         self.z = [np.empty((d, rows)) for d in dims[1:]]
@@ -236,7 +238,7 @@ class _Workspace:
         self.delta = [np.empty((d, rows)) for d in dims[1:]]
         self.scratch = [np.empty((d, rows)) for d in dims[1:-1]]
         self.labels = np.empty(rows)
-        self.grad = np.empty(sum((din + 1) * dout for din, dout in zip(dims[:-1], dims[1:])))
+        self.grad = np.empty_like(net.params)
         self.grad_blocks = _layer_blocks(self.grad, dims)
         self.adam = np.empty((2, self.grad.size))
 
@@ -258,7 +260,8 @@ def _forward(net: Network, ws: _Workspace) -> np.ndarray:
     for i, block in enumerate(net.blocks):
         z = np.matmul(block.T, ws.inputs[i], out=ws.z[i])
         if i < last:
-            _mish_into(z, ws.exp[i], ws.tanh_sp[i], ws.inputs[i + 1][:-1])
+            a = ws.inputs[i + 1][:-1]
+            np.multiply(z, _tanh_softplus_into(z, ws.exp[i], ws.tanh_sp[i], a), out=a)
     return z[0]
 
 
@@ -286,7 +289,7 @@ def _backward(net: Network, ws: _Workspace, grad_blocks: list[np.ndarray]) -> No
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, _Workspace]:
     """Batch forward pass; returns predictions and the cache backward needs."""
     x, squeeze = _as_rows(net, x)
-    cache = _Workspace(net.dims, x.shape[0])
+    cache = _Workspace(net, x.shape[0])
     cache.inputs[0][:-1] = x.T
     preds = _forward(net, cache)
     return (preds[0] if squeeze else preds), cache
@@ -313,7 +316,7 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
         for block in net.blocks[:-1]:
             z = block.T @ a
             a = _with_ones(*z.shape)
-            _mish_into(z, np.empty_like(z), np.empty_like(z), a[:-1])
+            np.multiply(z, _tanh_softplus(z), out=a[:-1])
         out[start : start + len(rows)] = (net.blocks[-1].T @ a)[0]
     return out[0] if squeeze else out
 
@@ -471,7 +474,7 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
 
     n = X.shape[0]
     full_batch = config.batch_size is None
-    ws = _Workspace(net.dims, n if full_batch else min(config.batch_size, n))
+    ws = _Workspace(net, n if full_batch else min(config.batch_size, n))
     if full_batch:
         ws.inputs[0][:-1] = X.T
     rng = np.random.default_rng(config.rng_seed)
