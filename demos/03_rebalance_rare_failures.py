@@ -5,38 +5,32 @@ Industrial CI logs are dominated by passes; a regression model trained on
 them barely sees the cases it exists for. This demo builds a feature set
 with a 0.2% fail share and oversamples it to 2.6% with synthetic fail-bin
 vectors: interpolation between close neighbors, Gaussian jitter for
-isolated seeds.
+isolated seeds. The rebalancer works on the arrays of a FeatureSet: one
+row per vector (10 window statuses, then duration, last run, distance and
+change in status), one id and one label per row.
 """
 
-import random
+import numpy as np
 
 from testprio.augment import AugmentConfig, augment, fail_ratio, split_bins
-from testprio.features import FeatureVector
+from testprio.features import FeatureSet
 
-rng = random.Random(0)
+rng = np.random.default_rng(0)
+n, n_failing = 2100, 4
 
-
-def make_vector(test_id, failing):
-    if failing:
-        window = tuple(rng.choice([0, 1]) for _ in range(9)) + (1,)
-        label = rng.uniform(0.3, 0.95)
-    else:
-        window = tuple(rng.choice([-1, 0]) for _ in range(10))
-        label = rng.uniform(0.0, 0.1)
-    executed = [s for s in window if s != -1]
-    return FeatureVector(
-        test_id=test_id,
-        es_window=window,
-        duration_norm=rng.random(),
-        last_run_norm=rng.random(),
-        distance=abs(window[-1] - window[0]),
-        change_in_status=sum(1 for a, b in zip(executed, executed[1:]) if (a, b) == (0, 1)),
-        label_priority=label,
-    )
-
-
-vectors = [make_vector(i, failing=i < 4) for i in range(2100)]
-rng.shuffle(vectors)
+failing = np.arange(n) < n_failing
+windows = np.where(failing[:, None], rng.integers(0, 2, (n, 10)), rng.integers(-1, 1, (n, 10)))
+windows[failing, -1] = 1  # the fail bin: the last executed verdict is a fail
+distance = np.abs(windows[:, -1] - windows[:, 0])
+flips = np.zeros(n)
+prev = np.full(n, -1)
+for j in range(10):
+    flips += (prev == 0) & (windows[:, j] == 1)
+    prev = np.where(windows[:, j] != -1, windows[:, j], prev)
+X = np.column_stack([windows, rng.random((n, 2)), distance, flips]).astype(np.float64)
+labels = np.where(failing, rng.uniform(0.3, 0.95, n), rng.uniform(0.0, 0.1, n))
+order = rng.permutation(n)
+vectors = FeatureSet(X[order], order.tolist(), labels[order])
 print(f"input: {len(vectors)} vectors, fail share {fail_ratio(vectors):.2%}")
 
 config = AugmentConfig(k_neighbors=3, target_fail_ratio=0.026, rng_seed=7)
@@ -47,12 +41,17 @@ print(f"output: {len(balanced)} vectors, fail share {fail_ratio(balanced):.2%} "
 
 synthetic = balanced[len(vectors):]
 print(f"\n{len(synthetic)} synthetic vectors; first three:")
-for v in synthetic[:3]:
-    print(f"  window {v.es_window} duration {v.duration_norm:.3f} "
-          f"label {v.label_priority:.3f}")
+for tid, row, label in zip(synthetic.test_ids[:3], synthetic.X[:3], synthetic.labels[:3]):
+    window = " ".join(f"{int(s):+d}" for s in row[:10])
+    print(f"  seed {tid:>4}: window {window}  duration {row[10]:.3f}  label {label:.3f}")
 
-# Guarantees worth knowing: originals in the fail bin are never dropped,
-# and the whole procedure is reproducible from the seed.
-assert all(v in balanced for v in vectors if v.es_window[-1] == 1)
-assert augment(vectors, config) == balanced
-print("\noriginal failures all kept; rerun with the same seed is byte-identical")
+# Guarantees worth knowing: originals in the fail bin are never dropped
+# (kept vectors come first, in input order, then the synthetic ones), and
+# the whole procedure is reproducible from the seed.
+originals = split_bins(vectors)[0]
+kept = failed[: len(originals)]
+assert np.array_equal(kept.X, originals.X) and kept.test_ids == originals.test_ids
+rerun = augment(vectors, config)
+assert np.array_equal(rerun.X, balanced.X) and np.array_equal(rerun.labels, balanced.labels)
+assert rerun.test_ids == balanced.test_ids
+print("\noriginal failures all kept; rerun with the same seed is identical")

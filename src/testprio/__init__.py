@@ -2,7 +2,7 @@
 suites, fit them into time budgets and score the orderings."""
 
 from . import errors
-from .augment import AugmentConfig, augment, gaussian_perturb, smoter_interpolate, split_bins
+from .augment import AugmentConfig, augment, split_bins
 from .features import (
     FeatureBounds,
     FeatureVector,

@@ -6,23 +6,26 @@ module under-samples the pass bin (optional) and over-samples the fail
 bin with synthetic cases: interpolation between a fail-bin seed and one
 of its nearest fail-bin neighbors when they are close ("safe zone"),
 Gaussian perturbation of the seed when the chosen neighbor is far.
+It works on the arrays of a FeatureSet, and its neighbor search holds
+O(KNN_BLOCK_ROWS x n_fail) values, never an n_fail x n_fail matrix.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .features import DERIVED_FEATURES, FeatureVector, stack
+from .features import DERIVED_FEATURES, FeatureSet, FeatureVector, stack
 from .history import FAIL, NOT_RUN
 
 logger = logging.getLogger(__name__)
 
 _LABEL_EPS = 1e-12  # labels stay strictly inside (0, 1)
+KNN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,6 @@ class AugmentConfig:
     k_neighbors: int = 5
     target_fail_ratio: float = 0.05
     noise_scale: float = 0.02  # fraction of per-feature std in the fail bin
-    distance_threshold: str = "half-median-knn"
     pass_keep_fraction: float = 1.0  # under-sampling knob; 1.0 keeps everything
     rng_seed: int = 0
 
@@ -43,135 +45,130 @@ class AugmentConfig:
             raise ValueError("noise_scale must be > 0")
         if not 0 < self.pass_keep_fraction <= 1:
             raise ValueError("pass_keep_fraction must be in (0, 1]")
-        if self.distance_threshold != "half-median-knn":
-            raise ValueError(f"unknown distance threshold mode {self.distance_threshold!r}")
 
 
-def _last_executed_failed(window: Sequence[int]) -> bool:
-    for status in reversed(window):
-        if status != NOT_RUN:
-            return status == FAIL
-    return False
+def fail_mask(X: np.ndarray) -> np.ndarray:
+    """The fail bin of an input matrix (``stack``'s layout): rows whose most
+    recent *executed* verdict is a fail. Rows that never executed are not in it."""
+    if X.size == 0:
+        return np.zeros(len(X), dtype=bool)
+    window = X[:, :-DERIVED_FEATURES]
+    last = window.shape[1] - 1 - np.argmax(window[:, ::-1] != NOT_RUN, axis=1)
+    return window[np.arange(len(window)), last] == FAIL
 
 
-def split_bins(vectors: Sequence[FeatureVector]) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Partition by most recent *executed* verdict: fail bin, pass bin.
-
-    Tests that never executed land in the pass bin.
-    """
-    bin_failed, bin_passed = [], []
-    for v in vectors:
-        (bin_failed if _last_executed_failed(v.es_window) else bin_passed).append(v)
-    return bin_failed, bin_passed
-
-
-def smoter_interpolate(seed: FeatureVector, neighbor: FeatureVector,
-                       rng: np.random.Generator) -> FeatureVector:
-    """New sample on the segment between two fail-bin members.
-
-    Continuous features and the label move a common uniform fraction u from
-    seed toward neighbor; discrete features are copied from whichever
-    parent is nearer to the synthetic point (the seed when u <= 0.5).
-    """
-    u = float(rng.uniform())
-    lerp = lambda a, b: (1.0 - u) * a + u * b  # exact at both endpoints
-    near = seed if u <= 0.5 else neighbor
-    label = None
-    if seed.label_priority is not None and neighbor.label_priority is not None:
-        label = lerp(seed.label_priority, neighbor.label_priority)
-    return FeatureVector(
-        test_id=seed.test_id,
-        es_window=near.es_window,
-        duration_norm=lerp(seed.duration_norm, neighbor.duration_norm),
-        last_run_norm=lerp(seed.last_run_norm, neighbor.last_run_norm),
-        distance=near.distance,
-        change_in_status=near.change_in_status,
-        label_priority=label,
-    )
-
-
-def gaussian_perturb(seed: FeatureVector, noise_scale: float, rng: np.random.Generator,
-                     stds: Sequence[float] = (1.0, 1.0, 1.0)) -> FeatureVector:
-    """Jitter the continuous features of a fail-bin seed.
-
-    ``stds`` are the population stds of (duration, last_run, label) the
-    noise is scaled by; features clamp to [0,1], the label stays strictly
-    inside (0,1). Discrete features are untouched.
-    """
-    s_dur, s_lr, s_label = (float(s) for s in stds)
-    clip01 = lambda x: float(min(1.0, max(0.0, x)))
-    duration = clip01(seed.duration_norm + rng.normal(0.0, noise_scale * s_dur))
-    lastrun = clip01(seed.last_run_norm + rng.normal(0.0, noise_scale * s_lr))
-    label = seed.label_priority
-    if label is not None:
-        label = label + rng.normal(0.0, noise_scale * s_label)
-        label = float(min(1.0 - _LABEL_EPS, max(_LABEL_EPS, label)))
-    return replace(seed, duration_norm=duration, last_run_norm=lastrun, label_priority=label)
-
-
-def augment(vectors: Sequence[FeatureVector], config: AugmentConfig) -> list[FeatureVector]:
-    """Rebalance until the fail-bin share reaches the configured target.
-
-    Original fail-bin vectors are always kept; under-sampling (if enabled)
-    drops only pass-bin vectors. Deterministic for a fixed rng_seed. With
-    fewer than two fail-bin vectors there is nothing to interpolate, so
-    the input comes back unchanged.
-    """
-    vectors = list(vectors)
-    if any(v.label_priority is None for v in vectors):
-        raise ValueError("augment requires labeled vectors")
-    bin_failed, bin_passed = split_bins(vectors)
-    if len(bin_failed) < 2:
-        logger.warning(
-            "fail bin has %d vector(s); need at least 2 to augment, returning input unchanged",
-            len(bin_failed),
-        )
-        return vectors
-
-    rng = np.random.default_rng(config.rng_seed)
-
-    kept_passed = bin_passed
-    if config.pass_keep_fraction < 1.0 and bin_passed:
-        n_keep = max(1, math.floor(config.pass_keep_fraction * len(bin_passed)))
-        keep_idx = sorted(rng.choice(len(bin_passed), size=n_keep, replace=False))
-        kept_passed = [bin_passed[i] for i in keep_idx]
-
-    n_fail, n_pass = len(bin_failed), len(kept_passed)
-    t = config.target_fail_ratio
-    needed = math.ceil(t * n_pass / (1.0 - t)) - n_fail
-    kept_set = {id(v) for v in bin_failed} | {id(v) for v in kept_passed}
-    out = [v for v in vectors if id(v) in kept_set]
-    if needed <= 0:
-        return out
-
-    coords = np.stack([v.flatten() for v in bin_failed])
-    dists = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-    k = min(config.k_neighbors, n_fail - 1)
-    knn = np.argsort(dists, axis=1)[:, 1 : k + 1]  # nearest first, self excluded
-
-    cont = np.array(
-        [[v.duration_norm, v.last_run_norm, v.label_priority] for v in bin_failed]
-    )
-    stds = cont.std(axis=0)
-
-    synth = []
-    for _ in range(needed):
-        si = int(rng.integers(n_fail))
-        seed = bin_failed[si]
-        neighbor_ids = knn[si]
-        threshold = float(np.median(dists[si, neighbor_ids])) / 2.0
-        ni = int(neighbor_ids[int(rng.integers(len(neighbor_ids)))])
-        if dists[si, ni] <= threshold:
-            synth.append(smoter_interpolate(seed, bin_failed[ni], rng))
-        else:
-            synth.append(gaussian_perturb(seed, config.noise_scale, rng, stds))
-    return out + synth
+def split_bins(vectors: Sequence[FeatureVector]) -> tuple[FeatureSet, FeatureSet]:
+    """Partition by ``fail_mask``: fail bin, pass bin, each in input order."""
+    X, labels, ids = stack(vectors)
+    data, failed = FeatureSet(X, ids, labels), fail_mask(X)
+    return data[np.flatnonzero(failed)], data[np.flatnonzero(~failed)]
 
 
 def fail_ratio(vectors: Sequence[FeatureVector]) -> float:
-    """Share of split_bins' fail bin, counted with one mask on the window columns."""
-    if not vectors:
-        return 0.0
-    window = stack(vectors)[0][:, :-DERIVED_FEATURES]
-    last = window.shape[1] - 1 - np.argmax(window[:, ::-1] != NOT_RUN, axis=1)  # last executed
-    return int((window[np.arange(len(window)), last] == FAIL).sum()) / len(window)
+    """Share of split_bins' fail bin."""
+    return int(fail_mask(stack(vectors)[0]).sum()) / len(vectors) if len(vectors) else 0.0
+
+
+def nearest_neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` nearest other rows of each row of ``X``, nearest first, and
+    their distances (norms of row differences); ties go to the lower index.
+    Needs ``1 <= k < len(X)``. Each block of rows takes its ``2k`` best
+    candidates by the Gram form ``|a|^2 + |b|^2 - 2ab`` and re-ranks them by
+    the exact norm; a row whose k-th exact distance comes within rounding of
+    a candidate left out is ranked against every row instead."""
+    n, m = len(X), min(len(X) - 1, 2 * k)
+    sq = np.einsum("ij,ij->i", X, X)
+    idx, dist = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        rows = np.arange(start, min(start + KNN_BLOCK_ROWS, n))
+        gram = X[rows] @ X.T
+        gram *= -2.0
+        gram += sq[rows, None] + sq
+        gram[np.arange(len(rows)), rows] = np.inf  # never its own neighbor
+        cand = np.sort(np.argpartition(gram, m - 1, axis=1)[:, :m], axis=1)
+        idx[rows], dist[rows] = _rank_candidates(X, rows, cand, k)
+        if m < n - 1:  # else every other row was a candidate
+            left_out = np.take_along_axis(gram, cand, axis=1).max(axis=1)  # a lower bound
+            unsure = dist[rows, -1] ** 2 >= left_out - 1e-9 * (sq[rows] + sq.max())
+            for i in rows[unsure]:
+                others = np.delete(np.arange(n), i)[None, :]
+                idx[i], dist[i] = _rank_candidates(X, np.array([i]), others, k)
+    return idx, dist
+
+
+def _rank_candidates(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
+    """The ``k`` of each row's candidates (ascending indices, so the stable
+    sort breaks ties by index) nearest by the exact norm, and their norms."""
+    exact = np.linalg.norm(X[rows, None, :] - X[cand], axis=2)
+    order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(exact, order, axis=1)
+
+
+def _synthesize(seed: np.ndarray, neighbor: np.ndarray, u: np.ndarray,
+                noise: np.ndarray) -> np.ndarray:
+    """Synthetic fail-bin rows from ``[x | label]`` rows of seeds and neighbors.
+    Where ``u`` is a number, duration, last run and label move the fraction
+    ``u`` from seed to neighbor, and the discrete features come from the parent
+    nearer the new point (the seed when u <= 0.5). Where ``u`` is NaN, the row
+    is its seed plus ``noise`` on those three columns, features clamped to
+    [0, 1] and the label kept strictly inside (0, 1)."""
+    w = seed.shape[1] - 1 - DERIVED_FEATURES
+    cont, u = [w, w + 1, -1], u[:, None]
+    lerp = (1.0 - u) * seed[:, cont] + u * neighbor[:, cont]  # exact at both endpoints
+    jitter = np.clip(seed[:, cont] + noise, [0.0, 0.0, _LABEL_EPS], [1.0, 1.0, 1.0 - _LABEL_EPS])
+    out = np.where(u > 0.5, neighbor, seed)
+    out[:, cont] = np.where(np.isnan(u), jitter, lerp)
+    return out
+
+
+def augment(vectors: Sequence[FeatureVector], config: AugmentConfig) -> FeatureSet:
+    """Rebalance until the fail-bin share reaches the configured target.
+
+    Original fail-bin vectors are always kept; under-sampling (if enabled)
+    drops only pass-bin vectors. Kept vectors come first, in input order,
+    then the synthetic ones, each with its seed's test id. Deterministic
+    for a fixed rng_seed. With fewer than two fail-bin vectors there is
+    nothing to interpolate, so the input comes back unchanged."""
+    X, labels, ids = stack(vectors)
+    if labels is None:
+        raise ValueError("augment requires labeled vectors")
+    data, failed = FeatureSet(X, ids, labels), fail_mask(X)
+    fail_rows, pass_rows = np.flatnonzero(failed), np.flatnonzero(~failed)
+    n_fail, n_pass = len(fail_rows), len(pass_rows)
+    if n_fail < 2:
+        logger.warning("fail bin has %d vector(s); need at least 2 to augment, "
+                       "returning input unchanged", n_fail)
+        return data
+
+    rng = np.random.default_rng(config.rng_seed)
+    kept = data
+    if config.pass_keep_fraction < 1.0 and n_pass:
+        n_keep = max(1, math.floor(config.pass_keep_fraction * n_pass))
+        keep = failed.copy()
+        keep[pass_rows[rng.choice(n_pass, size=n_keep, replace=False)]] = True
+        kept, n_pass = data[np.flatnonzero(keep)], n_keep
+    t = config.target_fail_ratio
+    needed = math.ceil(t * n_pass / (1.0 - t)) - n_fail
+    if needed <= 0:
+        return kept
+
+    k = min(config.k_neighbors, n_fail - 1)
+    knn, knn_dist = nearest_neighbors(X[fail_rows], k)
+    threshold = np.median(knn_dist, axis=1) / 2.0
+    rows = np.column_stack([X[fail_rows], labels[fail_rows]])
+    w = X.shape[1] - DERIVED_FEATURES
+    # C order: std's summation order, so its last bits, depends on the layout
+    scale = config.noise_scale * np.ascontiguousarray(rows[:, [w, w + 1, -1]]).std(axis=0)
+    seeds, neighbors = np.empty(needed, dtype=np.intp), np.empty(needed, dtype=np.intp)
+    u, noise = np.full(needed, np.nan), np.zeros((needed, 3))
+    for r in range(needed):
+        si, j = int(rng.integers(n_fail)), int(rng.integers(k))
+        seeds[r], neighbors[r] = si, knn[si, j]
+        if knn_dist[si, j] <= threshold[si]:
+            u[r] = rng.uniform()
+        else:
+            noise[r] = rng.normal(0.0, scale)
+    synth = _synthesize(rows[seeds], rows[neighbors], u, noise)
+    synth_ids = tuple(ids[i] for i in fail_rows[seeds].tolist())
+    return FeatureSet(np.concatenate([kept.X, synth[:, :-1]]), kept.test_ids + synth_ids,
+                      np.concatenate([kept.labels, synth[:, -1]]))

@@ -83,9 +83,9 @@ def cmd_label(args) -> int:
     labeled = label_dataset(matrix, scheme)
     path = _out_dir(args) / "features.csv"
     dump_features_csv(labeled, path)
-    labels = [v.label_priority for v in labeled]
-    print(f"labeled {len(labeled)} tests (priority mean {np.mean(labels):.4f}, "
-          f"max {max(labels):.4f}); features written to {path}")
+    labels = labeled.labels
+    print(f"labeled {len(labeled)} tests (priority mean {labels.mean():.4f}, "
+          f"max {labels.max():.4f}); features written to {path}")
     return EXIT_OK
 
 

@@ -116,8 +116,9 @@ class FeatureSet(Sequence[FeatureVector]):
     """Feature vectors held as arrays: row ``i`` of ``X`` (``stack``'s
     layout), ``test_ids[i]`` and, once labeled, ``labels[i]``.
 
-    Read-only. Indexing or iterating builds FeatureVector objects on demand;
-    ``stack`` hands the arrays over without building any.
+    Read-only. An index or iteration builds FeatureVector objects on demand;
+    a slice or an index array selects rows into a new FeatureSet. ``stack``
+    hands the arrays over without building any.
     """
 
     def __init__(self, X: np.ndarray, test_ids: Sequence, labels: np.ndarray | None = None):
@@ -135,9 +136,9 @@ class FeatureSet(Sequence[FeatureVector]):
         return len(self.test_ids)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FeatureSet(self.X[i], self.test_ids[i],
-                              None if self.labels is None else self.labels[i])
+        if isinstance(i, (slice, np.ndarray)):
+            ids = [self.test_ids[j] for j in np.arange(len(self))[i].tolist()]
+            return FeatureSet(self.X[i], ids, None if self.labels is None else self.labels[i])
         label = None if self.labels is None else float(self.labels[i])
         return self._vector(self.test_ids[i], self.X[i].tolist(), label)
 
@@ -174,11 +175,11 @@ def extract(
 
 
 def stack(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray | None, list]:
-    """Stack vectors into an (n, d) input matrix, labels and ids. A
-    FeatureSet hands over its own (read-only) arrays."""
+    """Stack vectors into an (n, d) input matrix, labels and ids; no vectors
+    give a 0 x 0 matrix. A FeatureSet hands over its own (read-only) arrays."""
     if isinstance(vectors, FeatureSet):
         return vectors.X, vectors.labels, list(vectors.test_ids)
-    X = np.stack([v.flatten() for v in vectors])
+    X = np.stack([v.flatten() for v in vectors]) if len(vectors) else np.empty((0, 0))
     labels = None
     if all(v.label_priority is not None for v in vectors):
         labels = np.array([v.label_priority for v in vectors], dtype=np.float64)

@@ -221,9 +221,9 @@ class TestForward:
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(0))
         n = 200_000
         X = np.random.default_rng(2).uniform(-1, 1, (n, 14))
-        block_buffer = FORWARD_BLOCK_ROWS * max(net.dims) * 8
-        # a layer-sized buffer alone, n x 20 float64, is 32 MB
-        assert traced_peak(predict, net, X) < n * 8 + 6 * block_buffer
+        # Measured: the 1.6 MB output plus 0.66 MB of block buffers. A
+        # layer-sized buffer alone, n x 20 float64, is 32 MB.
+        assert traced_peak(predict, net, X) < n * 8 + 2_000_000
 
     def test_predict_equals_forward_across_a_partial_block(self):
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(5))
