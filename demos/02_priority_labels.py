@@ -7,6 +7,8 @@ the most recent cycle, so yesterday's failure outweighs last week's.
 Passes (0) and skipped cycles (-1) contribute nothing.
 """
 
+import numpy as np
+
 from testprio.history import build_status_matrix
 from testprio.rocket import geometric_weights, label_dataset, linear_weights, priority
 from testprio.simulate import PAINT_CONTROL_LIKE, generate_history
@@ -33,8 +35,8 @@ for name, window in windows.items():
 cycles = generate_history(PAINT_CONTROL_LIKE, seed=42)
 matrix = build_status_matrix(cycles, window_len=10)
 labeled = label_dataset(matrix, linear)
-top = sorted(labeled, key=lambda v: -v.label_priority)[:5]
+top = np.argsort(-labeled.labels, kind="stable")[:5]  # ties keep matrix order
 print(f"\nlabeled {len(labeled)} tests; the five most failure-prone right now:")
-for v in top:
-    window = " ".join(f"{s:+d}" for s in v.es_window)
-    print(f"  test {v.test_id:>3}: label {v.label_priority:.4f}  window {window}")
+for i in top.tolist():
+    window = " ".join(f"{s:+d}" for s in matrix.statuses[i].tolist())
+    print(f"  test {labeled.test_ids[i]:>3}: label {labeled.labels[i]:.4f}  window {window}")

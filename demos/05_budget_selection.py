@@ -15,8 +15,9 @@ durations = [40.0, 210.0, 95.0, 30.0, 12.0, 5.0]  # historical mean seconds
 
 suite = rank(tests, predictions, durations)
 print("ranked suite (ties keep input order):")
-for pos, t in enumerate(suite.tests, 1):
-    print(f"  {pos}. {t.test_id:<13} priority {t.priority:.2f}  ~{t.mean_duration_s:.0f}s")
+ranked = zip(suite.order(), suite.priority.tolist(), suite.duration_s.tolist())
+for pos, (tid, prio, dur) in enumerate(ranked, 1):
+    print(f"  {pos}. {tid:<13} priority {prio:.2f}  ~{dur:.0f}s")
 
 for budget in (60.0, 180.0, 400.0):
     result = select_within_budget(suite, budget)

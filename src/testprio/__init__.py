@@ -2,10 +2,9 @@
 suites, fit them into time budgets and score the orderings."""
 
 from . import errors
-from .augment import AugmentConfig, augment, split_bins
+from .augment import AugmentConfig, split_bins
 from .features import (
     FeatureBounds,
-    FeatureVector,
     bounds_from_matrix,
     change_in_status,
     distance,
@@ -25,13 +24,11 @@ from .history import (
 )
 from .metrics import (
     CycleOutcome,
-    PhaseTimer,
     RegressionAccuracy,
     TimeMetrics,
     apfd,
     napfd,
     regression_accuracy,
-    stopwatch_metrics,
     time_metrics,
 )
 from .net import (
@@ -61,7 +58,6 @@ from .pipeline import (
 )
 from .prioritize import (
     PrioritizedSuite,
-    RankedTest,
     SelectionResult,
     rank,
     select_within_budget,

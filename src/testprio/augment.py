@@ -15,11 +15,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .features import DERIVED_FEATURES, FeatureSet, FeatureVector, stack
+from .features import DERIVED_FEATURES, FeatureSet
 from .history import FAIL, NOT_RUN
 
 logger = logging.getLogger(__name__)
@@ -57,16 +56,15 @@ def fail_mask(X: np.ndarray) -> np.ndarray:
     return window[np.arange(len(window)), last] == FAIL
 
 
-def split_bins(vectors: Sequence[FeatureVector]) -> tuple[FeatureSet, FeatureSet]:
+def split_bins(data: FeatureSet) -> tuple[FeatureSet, FeatureSet]:
     """Partition by ``fail_mask``: fail bin, pass bin, each in input order."""
-    X, labels, ids = stack(vectors)
-    data, failed = FeatureSet(X, ids, labels), fail_mask(X)
+    failed = fail_mask(data.X)
     return data[np.flatnonzero(failed)], data[np.flatnonzero(~failed)]
 
 
-def fail_ratio(vectors: Sequence[FeatureVector]) -> float:
+def fail_ratio(data: FeatureSet) -> float:
     """Share of split_bins' fail bin."""
-    return int(fail_mask(stack(vectors)[0]).sum()) / len(vectors) if len(vectors) else 0.0
+    return int(fail_mask(data.X).sum()) / len(data) if len(data) else 0.0
 
 
 def nearest_neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +119,7 @@ def _synthesize(seed: np.ndarray, neighbor: np.ndarray, u: np.ndarray,
     return out
 
 
-def augment(vectors: Sequence[FeatureVector], config: AugmentConfig) -> FeatureSet:
+def augment(data: FeatureSet, config: AugmentConfig) -> FeatureSet:
     """Rebalance until the fail-bin share reaches the configured target.
 
     Original fail-bin vectors are always kept; under-sampling (if enabled)
@@ -129,10 +127,10 @@ def augment(vectors: Sequence[FeatureVector], config: AugmentConfig) -> FeatureS
     then the synthetic ones, each with its seed's test id. Deterministic
     for a fixed rng_seed. With fewer than two fail-bin vectors there is
     nothing to interpolate, so the input comes back unchanged."""
-    X, labels, ids = stack(vectors)
+    X, labels, ids = data.X, data.labels, data.test_ids
     if labels is None:
         raise ValueError("augment requires labeled vectors")
-    data, failed = FeatureSet(X, ids, labels), fail_mask(X)
+    failed = fail_mask(X)
     fail_rows, pass_rows = np.flatnonzero(failed), np.flatnonzero(~failed)
     n_fail, n_pass = len(fail_rows), len(pass_rows)
     if n_fail < 2:

@@ -91,14 +91,18 @@ def cmd_label(args) -> int:
 
 def cmd_augment(args) -> int:
     plan = _plan(args)
-    vectors = load_features_csv(args.features)
+    data = load_features_csv(args.features)
+    if not len(data):
+        raise InputError(f"{args.features} has no feature rows")
+    if data.labels is None:
+        raise InputError(f"{args.features} has no Priority labels; augment needs labeled rows")
     cfg = plan.augment_config
-    before = fail_ratio(vectors)
-    augmented = augment_vectors(vectors, cfg)
+    before = fail_ratio(data)
+    augmented = augment_vectors(data, cfg)
     after = fail_ratio(augmented)
     path = _out_dir(args) / "augmented.csv"
     dump_features_csv(augmented, path)
-    print(f"{len(vectors)} -> {len(augmented)} vectors; "
+    print(f"{len(data)} -> {len(augmented)} vectors; "
           f"fail ratio {before:.4f} -> {after:.4f}; written to {path}")
     return EXIT_OK
 
@@ -132,10 +136,11 @@ def cmd_prioritize(args) -> int:
     out = _out_dir(args)
     write_suite_csv(suite, out / "suite.csv")
     write_order(suite.order(), out / "order.txt")
-    top = suite.tests[:10]
+    top = zip(suite.ids[:10].tolist(), suite.priority[:10].tolist(),
+              suite.duration_s[:10].tolist())
     print(format_table(
         ["rank", "test_id", "priority", "duration_s"],
-        [[i + 1, t.test_id, t.priority, t.mean_duration_s] for i, t in enumerate(top)],
+        [[i + 1, *row] for i, row in enumerate(top)],
     ))
     print(f"full suite -> {out / 'suite.csv'}; plain order -> {out / 'order.txt'}")
     return EXIT_OK
@@ -143,16 +148,20 @@ def cmd_prioritize(args) -> int:
 
 def cmd_select(args) -> int:
     suite = read_suite_csv(args.suite)
-    result = select_within_budget(suite, args.budget)
+    try:
+        result = select_within_budget(suite, args.budget)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    selected = result.order()
     out = _out_dir(args)
     with open(out / "selection.csv", "w", encoding="utf-8") as fh:
         fh.write("test_id,included,reason\n")
-        for t in result.selected:
-            fh.write(f"{t.test_id},1,\n")
+        for tid in selected:
+            fh.write(f"{tid},1,\n")
         for tid, reason in result.skipped:
             fh.write(f"{tid},0,{reason}\n")
-    write_order(result.order(), out / "selected_order.txt")
-    print(f"selected {len(result.selected)}/{len(suite)} tests, "
+    write_order(selected, out / "selected_order.txt")
+    print(f"selected {len(selected)}/{len(suite)} tests, "
           f"used {result.used_s:.3f}s of {result.budget_s:.3f}s budget; "
           f"skipped {len(result.skipped)}")
     return EXIT_OK

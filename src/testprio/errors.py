@@ -99,12 +99,6 @@ class CorruptModel(InputError):
     """Model file is truncated or structurally invalid."""
 
 
-class UnbalancedPhaseEvents(InputError):
-    def __init__(self, phase: str):
-        super().__init__(f"phase {phase!r} has unmatched start/stop events")
-        self.phase = phase
-
-
 class InsufficientHistory(InputError):
     """Dataset has too few cycles for the requested study."""
 

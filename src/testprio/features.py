@@ -1,10 +1,13 @@
 """Model inputs: turn a status window plus duration/recency stats into a
-fixed-width feature vector.
+fixed-width feature vector, held as one row of a matrix per test.
 
-With the default 10-cycle window a vector flattens to 14 numbers: the 10
-raw statuses, then normalized mean duration, normalized last-run time,
-the swing between oldest and newest status, and the count of pass-to-fail
-flips among executed cycles.
+With the default 10-cycle window a row holds 14 numbers: the 10 raw
+statuses, then normalized mean duration, normalized last-run time, the
+swing between oldest and newest status, and the count of pass-to-fail
+flips among executed cycles. A FeatureSet carries that matrix with its
+test ids and, once labeled, one priority per row. The features CSV
+writes and reads a FeatureSet; its Priority column is set on every row
+or on none.
 """
 
 from __future__ import annotations
@@ -22,24 +25,6 @@ from .history import (DEFAULT_WINDOW, FAIL, NEVER_RAN, NOT_RUN, PASS, StatusMatr
                       from_epoch_us, to_epoch_us)
 
 DERIVED_FEATURES = 4  # duration, last run, distance, change-in-status
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    test_id: object
-    es_window: tuple[int, ...]
-    duration_norm: float
-    last_run_norm: float
-    distance: int
-    change_in_status: int
-    label_priority: float | None = None
-
-    def flatten(self) -> np.ndarray:
-        return np.array(
-            [*self.es_window, self.duration_norm, self.last_run_norm,
-             self.distance, self.change_in_status],
-            dtype=np.float64,
-        )
 
 
 @dataclass(frozen=True)
@@ -112,13 +97,11 @@ def change_in_status(window: Sequence[int]) -> int:
     return sum(1 for a, b in zip(executed, executed[1:]) if a == PASS and b == FAIL)
 
 
-class FeatureSet(Sequence[FeatureVector]):
+class FeatureSet:
     """Feature vectors held as arrays: row ``i`` of ``X`` (``stack``'s
     layout), ``test_ids[i]`` and, once labeled, ``labels[i]``.
 
-    Read-only. An index or iteration builds FeatureVector objects on demand;
-    a slice or an index array selects rows into a new FeatureSet. ``stack``
-    hands the arrays over without building any.
+    Read-only. A slice or an index array selects rows into a new FeatureSet.
     """
 
     def __init__(self, X: np.ndarray, test_ids: Sequence, labels: np.ndarray | None = None):
@@ -135,29 +118,9 @@ class FeatureSet(Sequence[FeatureVector]):
     def __len__(self) -> int:
         return len(self.test_ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, (slice, np.ndarray)):
-            ids = [self.test_ids[j] for j in np.arange(len(self))[i].tolist()]
-            return FeatureSet(self.X[i], ids, None if self.labels is None else self.labels[i])
-        label = None if self.labels is None else float(self.labels[i])
-        return self._vector(self.test_ids[i], self.X[i].tolist(), label)
-
-    def __iter__(self):
-        labels = [None] * len(self) if self.labels is None else self.labels.tolist()
-        for tid, row, label in zip(self.test_ids, self.X.tolist(), labels):
-            yield self._vector(tid, row, label)
-
-    def _vector(self, tid, row: list, label: float | None) -> FeatureVector:
-        w = len(row) - DERIVED_FEATURES
-        return FeatureVector(
-            test_id=tid,
-            es_window=tuple(int(s) for s in row[:w]),
-            duration_norm=row[w],
-            last_run_norm=row[w + 1],
-            distance=int(row[w + 2]),
-            change_in_status=int(row[w + 3]),
-            label_priority=label,
-        )
+    def __getitem__(self, rows: slice | np.ndarray) -> "FeatureSet":
+        ids = [self.test_ids[j] for j in np.arange(len(self))[rows].tolist()]
+        return FeatureSet(self.X[rows], ids, None if self.labels is None else self.labels[rows])
 
 
 def extract(
@@ -174,16 +137,10 @@ def extract(
     return FeatureSet(feature_matrix(matrix, bounds, expected_window), matrix.test_ids)
 
 
-def stack(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray | None, list]:
-    """Stack vectors into an (n, d) input matrix, labels and ids; no vectors
-    give a 0 x 0 matrix. A FeatureSet hands over its own (read-only) arrays."""
-    if isinstance(vectors, FeatureSet):
-        return vectors.X, vectors.labels, list(vectors.test_ids)
-    X = np.stack([v.flatten() for v in vectors]) if len(vectors) else np.empty((0, 0))
-    labels = None
-    if all(v.label_priority is not None for v in vectors):
-        labels = np.array([v.label_priority for v in vectors], dtype=np.float64)
-    return X, labels, [v.test_id for v in vectors]
+def stack(data: FeatureSet) -> tuple[np.ndarray, np.ndarray | None, list]:
+    """The (n, d) input matrix, labels (None if unlabeled) and ids of a
+    feature set: its own read-only arrays, handed over without a copy."""
+    return data.X, data.labels, list(data.test_ids)
 
 
 def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
@@ -223,25 +180,25 @@ def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
 
 # --- debug CSV dump: id + window + 4 derived + optional label -------------
 
-def dump_features_csv(vectors: Sequence[FeatureVector], path: str | Path) -> None:
-    if not vectors:
+def dump_features_csv(data: FeatureSet, path: str | Path) -> None:
+    if not len(data):
         raise ValueError("nothing to dump")
-    w = len(vectors[0].es_window)
+    w = data.X.shape[1] - DERIVED_FEATURES
     header = ["Id"] + [f"ES{i}" for i in range(1, w + 1)] + [
         "Duration", "LastRun", "Distance", "ChangeInStatus", "Priority",
     ]
+    labels = [""] * len(data) if data.labels is None else map(repr, data.labels.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for v in vectors:
-            writer.writerow(
-                [v.test_id, *v.es_window, repr(v.duration_norm), repr(v.last_run_norm),
-                 v.distance, v.change_in_status,
-                 "" if v.label_priority is None else repr(v.label_priority)]
-            )
+        for tid, row, label in zip(data.test_ids, data.X.tolist(), labels):
+            writer.writerow([tid, *map(int, row[:w]), repr(row[w]), repr(row[w + 1]),
+                             int(row[w + 2]), int(row[w + 3]), label])
 
 
-def load_features_csv(path: str | Path) -> list[FeatureVector]:
+def load_features_csv(path: str | Path) -> FeatureSet:
+    """Read what dump_features_csv wrote. Priority is set on every row or
+    on none; a row that differs from the first is malformed."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -253,25 +210,22 @@ def load_features_csv(path: str | Path) -> list[FeatureVector]:
         if header != expected or not es_cols:
             raise MissingColumn("ES1")
         w = len(es_cols)
-        vectors = []
+        ids, rows, labels = [], [], []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
             try:
-                vectors.append(
-                    FeatureVector(
-                        test_id=_parse_id(row[0]),
-                        es_window=tuple(int(x) for x in row[1 : 1 + w]),
-                        duration_norm=float(row[1 + w]),
-                        last_run_norm=float(row[2 + w]),
-                        distance=int(row[3 + w]),
-                        change_in_status=int(row[4 + w]),
-                        label_priority=float(row[5 + w]) if row[5 + w] else None,
-                    )
-                )
+                rows.append([*map(int, row[1 : 1 + w]), float(row[1 + w]), float(row[2 + w]),
+                             int(row[3 + w]), int(row[4 + w])])
+                labels.append(float(row[5 + w]) if row[5 + w] else None)
             except ValueError as exc:
                 raise MalformedRow(rownum, str(exc)) from None
-    return vectors
+            if (labels[-1] is None) != (labels[0] is None):
+                raise MalformedRow(rownum, "Priority must be set on every row or on none")
+            ids.append(_parse_id(row[0]))
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), w + DERIVED_FEATURES)
+    labeled = bool(labels) and labels[0] is not None
+    return FeatureSet(X, ids, np.array(labels, dtype=np.float64) if labeled else None)
 
 
 def _parse_id(raw: str):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, UnbalancedPhaseEvents
+from .errors import LengthMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,64 +117,17 @@ def regression_accuracy(preds: Sequence[float], labels: Sequence[float]) -> Regr
 
 # --- wall-clock phases ------------------------------------------------------
 
-PHASE_PROCESS = "process"  # dataset handling, training, validation -> PT
-PHASE_PRIORITIZE = "prioritize"  # predict + rank + select            -> RT
-PHASE_TOTAL = "total"  # whole run                                    -> TT
-
-PhaseEvent = tuple[str, str, float]  # (phase, "start"|"stop", timestamp)
-
-
-class PhaseTimer:
-    """Collects start/stop events; a phase may open and close many times."""
-
-    def __init__(self, clock=time.perf_counter):
-        self._clock = clock
-        self.events: list[PhaseEvent] = []
-
-    def start(self, phase: str) -> None:
-        self.events.append((phase, "start", self._clock()))
-
-    def stop(self, phase: str) -> None:
-        self.events.append((phase, "stop", self._clock()))
-
-    @contextmanager
-    def phase(self, name: str):
-        self.start(name)
-        try:
-            yield self
-        finally:
-            self.stop(name)
-
-
-def phase_totals(events: Sequence[PhaseEvent]) -> dict[str, float]:
-    """Wall-clock seconds per phase, summed over all of its spans."""
-    totals: dict[str, float] = {}
-    open_at: dict[str, float] = {}
-    for phase, kind, stamp in events:
-        if kind == "start":
-            if phase in open_at:
-                raise UnbalancedPhaseEvents(phase)
-            open_at[phase] = stamp
-        elif kind == "stop":
-            if phase not in open_at:
-                raise UnbalancedPhaseEvents(phase)
-            totals[phase] = totals.get(phase, 0.0) + (stamp - open_at.pop(phase))
-        else:
-            raise UnbalancedPhaseEvents(phase)
-    if open_at:
-        raise UnbalancedPhaseEvents(next(iter(open_at)))
-    return totals
-
-
-def stopwatch_metrics(events: Sequence[PhaseEvent]) -> dict[str, float]:
-    """The three run-level numbers: PT (processing + training + validation),
-    RT (prioritization) and TT (everything)."""
-    totals = phase_totals(events)
-    return {
-        "PT": totals.get(PHASE_PROCESS, 0.0),
-        "RT": totals.get(PHASE_PRIORITIZE, 0.0),
-        "TT": totals.get(PHASE_TOTAL, 0.0),
-    }
+@contextmanager
+def span(totals: dict[str, float], name: str, clock=time.perf_counter):
+    """Time the block and add its seconds to ``totals[name]``; a name may
+    open many times, and its seconds add up. The pipeline's names are the
+    paper's PT (processing, training, validation), RT (prioritization) and
+    TT (the whole run)."""
+    start = clock()
+    try:
+        yield
+    finally:
+        totals[name] = totals.get(name, 0.0) + (clock() - start)
 
 
 # --- report formatting ------------------------------------------------------

@@ -43,7 +43,7 @@ import copy
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,9 +224,7 @@ class _Workspace:
     leading rows of the next input. ``exp`` and ``tanh_sp`` keep each
     hidden layer's exp(min(z, clip)) and tanh(softplus(z)). ``delta[i]``
     is the loss gradient w.r.t. z of layer i; the output layer's holds the
-    residual preds - labels until the backward pass scales it. ``grad`` is
-    laid out like ``Network.params``, with ``grad_blocks`` its per-layer
-    views, and ``adam`` is the optimizer's scratch."""
+    residual preds - labels until the backward pass scales it."""
 
     def __init__(self, net: Network, rows: int):
         dims = net.dims
@@ -238,9 +236,6 @@ class _Workspace:
         self.delta = [np.empty((d, rows)) for d in dims[1:]]
         self.scratch = [np.empty((d, rows)) for d in dims[1:-1]]
         self.labels = np.empty(rows)
-        self.grad = np.empty_like(net.params)
-        self.grad_blocks = _layer_blocks(self.grad, dims)
-        self.adam = np.empty((2, self.grad.size))
 
     def narrow(self, rows: int) -> "_Workspace":
         """The same buffers cut to their first ``rows`` columns, for the
@@ -426,16 +421,11 @@ def _full_set_loss(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     return _mean_square(r)
 
 
-def _step(net: Network, ws: _Workspace, state: AdamState, config: TrainConfig) -> None:
-    """Backward from the residual in ``ws``, then one Adam update."""
-    _backward(net, ws, ws.grad_blocks)
-    _adam(net.params, ws.grad, state, config, ws.adam)
-
-
 def _mini_batch_epoch(net: Network, ws: _Workspace, X: np.ndarray, y: np.ndarray,
-                      rng: np.random.Generator, state: AdamState, config: TrainConfig) -> None:
-    """One shuffled pass of mini-batch updates; the shuffle order is the
-    only n-sized buffer, and it is dropped on return."""
+                      rng: np.random.Generator, step: Callable[[_Workspace], None]) -> None:
+    """One shuffled pass of mini-batch updates, each made by ``step`` from
+    the residual in its batch's buffers; the shuffle order is the only
+    n-sized buffer, and it is dropped on return."""
     order = rng.permutation(X.shape[0])
     last = ws.narrow(len(order) % ws.rows or ws.rows)
     for start in range(0, len(order), ws.rows):
@@ -445,7 +435,7 @@ def _mini_batch_epoch(net: Network, ws: _Workspace, X: np.ndarray, y: np.ndarray
         np.take(y, idx, out=batch.labels)
         _forward(net, batch)
         _residual(batch, batch.labels)
-        _step(net, batch, state, config)
+        step(batch)
 
 
 def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> TrainResult:
@@ -479,6 +469,14 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
         ws.inputs[0][:-1] = X.T
     rng = np.random.default_rng(config.rng_seed)
     state = AdamState.zeros(net)
+    grad = np.empty_like(net.params)  # laid out like params; grad_blocks are its layer views
+    grad_blocks, adam_scratch = _layer_blocks(grad, net.dims), np.empty((2, grad.size))
+
+    def step(batch: _Workspace) -> None:
+        """Backward from the residual in ``batch``, then one Adam update."""
+        _backward(net, batch, grad_blocks)
+        _adam(net.params, grad, state, config, adam_scratch)
+
     epoch_mse: list[float] = []
     # divergence is detected on the loss and raised; silence the transient
     # overflow chatter that precedes it
@@ -498,9 +496,9 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
             if loss < config.mse_stop:
                 return TrainResult(net, epoch_mse, epoch, "mse_stop")
             if full_batch:
-                _step(net, ws, state, config)
+                step(ws)
             else:
-                _mini_batch_epoch(net, ws, X, y, rng, state, config)
+                _mini_batch_epoch(net, ws, X, y, rng, step)
     return TrainResult(net, epoch_mse, config.epochs_max, "epochs_max")
 
 

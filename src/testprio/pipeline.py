@@ -39,17 +39,12 @@ from .history import (
 )
 from .metrics import (
     CycleOutcome,
-    PHASE_PRIORITIZE,
-    PHASE_PROCESS,
-    PHASE_TOTAL,
-    PhaseTimer,
     RegressionAccuracy,
     apfd,
     format_table,
     napfd,
-    phase_totals,
     regression_accuracy,
-    stopwatch_metrics,
+    span,
     time_metrics,
 )
 from .net import (
@@ -208,8 +203,7 @@ class PipelineResult:
     cut_cycle: int
     per_cycle: list[dict]
     aggregates: list[dict]
-    timings: dict[str, float]
-    phases: dict[str, float]
+    timings: dict[str, float]  # PT, RT and TT in seconds
     model: SavedModel | None
     training: TrainResult | None
     holdout: RegressionAccuracy | None
@@ -368,7 +362,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
     if not plan.strategies:
         raise InputError("no strategies selected")
 
-    timer = PhaseTimer()
+    timings = {"PT": 0.0, "RT": 0.0, "TT": 0.0}
     rows: list[dict] = []
     model: SavedModel | None = None
     training: TrainResult | None = None
@@ -376,8 +370,8 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
     holdout_labels: list[float] = []
     dataset_name = plan.dataset_name()
 
-    with timer.phase(PHASE_TOTAL):
-        with timer.phase(PHASE_PROCESS):
+    with span(timings, "TT"):
+        with span(timings, "PT"):
             cycles = _load_cycles(plan)
             cycle_ids = [c.cycle_id for c in cycles]
             cut = _resolve_cut(plan, cycle_ids)
@@ -396,7 +390,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                 and plan.retrain_every
                 and cycle.cycle_id - trained_through >= plan.retrain_every
             ):
-                with timer.phase(PHASE_PROCESS):
+                with span(timings, "PT"):
                     history = [c for c in cycles if c.cycle_id < cycle.cycle_id]
                     model, training = train_model(history, plan)
                     trained_through = cycle.cycle_id
@@ -406,7 +400,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             # A left-to-right sum: np.sum adds pairwise, which changes the last bits.
             budget_s = plan.budget_fraction * sum(cycle.duration_s.tolist())
 
-            with timer.phase(PHASE_PRIORITIZE):
+            with span(timings, "RT"):
                 state.advance_to(cycle.cycle_id - 1)
                 matrix = state.matrix_for(ids)
                 suites = {
@@ -438,7 +432,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                                              n_faults, budget_s)
                 rows.append({**base, "strategy": strategy, **scores})
 
-            with timer.phase(PHASE_PROCESS):
+            with span(timings, "PT"):
                 state.ingest(cycle)
                 if needs_model:
                     matrix_now = state.matrix_for(ids)
@@ -454,14 +448,12 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
         holdout = regression_accuracy(*holdout_pairs)
 
     aggregates = aggregate_rows(rows, plan.strategies)
-    phases = phase_totals(timer.events)
     result = PipelineResult(
         plan=plan,
         cut_cycle=cut,
         per_cycle=rows,
         aggregates=aggregates,
-        timings=stopwatch_metrics(timer.events),
-        phases=phases,
+        timings=timings,
         model=model,
         training=training,
         holdout=holdout,
@@ -530,9 +522,8 @@ def _write_artifacts(result: PipelineResult, out_dir: Path) -> None:
     )
     paths["aggregate_txt"].write_text(table + "\n", encoding="utf-8")
     paths["timings"] = out_dir / "timings.csv"
-    timing_rows = [{"phase": k, "seconds": v} for k, v in sorted(result.phases.items())]
-    timing_rows += [{"phase": k, "seconds": v} for k, v in result.timings.items()]
-    write_csv(paths["timings"], ["phase", "seconds"], timing_rows)
+    write_csv(paths["timings"], ["phase", "seconds"],
+              [{"phase": k, "seconds": v} for k, v in result.timings.items()])
     if result.model is not None:
         paths["model"] = out_dir / "model.txt"
         save_model(result.model, paths["model"])

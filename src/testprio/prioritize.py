@@ -1,13 +1,13 @@
 """Turn predicted priorities into an ordering and a budget-fitted subset.
 
-A suite is held as arrays in rank order, so ranking, selection and
-scoring run without one Python object per test; ``RankedTest`` records
-are built only when a caller asks for them.
+A suite is held as parallel arrays in rank order, so ranking, selection,
+scoring and the suite CSV all work without one Python object per test.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,13 +19,6 @@ from .errors import LengthMismatch, MalformedRow, MissingColumn, NonFinitePriori
 OVER_BUDGET = "over_budget"
 
 
-@dataclass(frozen=True)
-class RankedTest:
-    test_id: object
-    priority: float
-    mean_duration_s: float = 0.0
-
-
 def _object_array(values) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
@@ -35,25 +28,13 @@ class PrioritizedSuite:
 
     Held as parallel arrays in rank order: ``ids`` (object), ``priority``
     and ``duration_s`` (float64), and ``index``, the position each test
-    had in the arrays given to :func:`rank` (``0..n-1`` for a suite built
-    from ``RankedTest`` records). Equality compares ids, priorities and
-    durations.
+    had in the arrays given to :func:`rank` (``0..n-1`` for a suite read
+    from a file). Equality compares ids, priorities and durations.
     """
 
-    def __init__(self, tests: Iterable[RankedTest] = ()):
-        tests = tuple(tests)
-        self.ids = _object_array([t.test_id for t in tests])
-        self.priority = np.array([t.priority for t in tests], dtype=np.float64)
-        self.duration_s = np.array([t.mean_duration_s for t in tests], dtype=np.float64)
-        self.index = np.arange(len(tests))
-
-    @classmethod
-    def from_arrays(cls, ids: np.ndarray, priority: np.ndarray, duration_s: np.ndarray,
-                    index: np.ndarray) -> "PrioritizedSuite":
-        """A suite of arrays already in rank order (``ids`` of dtype object)."""
-        suite = cls.__new__(cls)
-        suite.ids, suite.priority, suite.duration_s, suite.index = ids, priority, duration_s, index
-        return suite
+    def __init__(self, ids: np.ndarray, priority: np.ndarray, duration_s: np.ndarray,
+                 index: np.ndarray):
+        self.ids, self.priority, self.duration_s, self.index = ids, priority, duration_s, index
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -66,12 +47,8 @@ class PrioritizedSuite:
                 and np.array_equal(self.duration_s, other.duration_s))
 
     def __repr__(self) -> str:
-        return f"PrioritizedSuite({self.tests!r})"
-
-    @property
-    def tests(self) -> tuple[RankedTest, ...]:
-        return tuple(map(RankedTest, self.ids.tolist(), self.priority.tolist(),
-                         self.duration_s.tolist()))
+        return (f"PrioritizedSuite(ids={self.order()!r}, priority={self.priority.tolist()!r}, "
+                f"duration_s={self.duration_s.tolist()!r})")
 
     def order(self) -> list:
         return self.ids.tolist()
@@ -86,10 +63,6 @@ class SelectionResult:
     taken: np.ndarray
     budget_s: float
     used_s: float
-
-    @property
-    def selected(self) -> tuple[RankedTest, ...]:
-        return tuple(t for t, keep in zip(self.suite.tests, self.taken.tolist()) if keep)
 
     @property
     def skipped(self) -> tuple[tuple[object, str], ...]:
@@ -119,7 +92,7 @@ def rank(ids: Sequence, priorities: Sequence[float],
     if len(dur) != len(ids):
         raise LengthMismatch(len(ids), len(dur))
     order = np.argsort(-prio, kind="stable")
-    return PrioritizedSuite.from_arrays(ids[order], prio[order], dur[order], order)
+    return PrioritizedSuite(ids[order], prio[order], dur[order], order)
 
 
 def budget_walk(durations: np.ndarray, budget_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +138,8 @@ def select_within_budget(suite: PrioritizedSuite, budget_s: float) -> SelectionR
     it is skipped and the walk continues, so cheaper lower-priority tests
     can still fill the gap.
     """
-    if budget_s < 0:
-        raise ValueError(f"budget must be >= 0, got {budget_s}")
+    if not 0 <= budget_s < math.inf:
+        raise ValueError(f"budget must be a finite number of seconds >= 0, got {budget_s}")
     if (suite.duration_s < 0).any():
         raise ValueError("test durations must be >= 0")
     taken, remaining = budget_walk(suite.duration_s[None, :], budget_s)
@@ -193,16 +166,19 @@ def read_suite_csv(path: str | Path) -> PrioritizedSuite:
         header = next(reader, None)
         if header != _SUITE_HEADER:
             raise MissingColumn("rank")
-        tests = []
+        ids, priority, duration_s = [], [], []
         for rownum, row in enumerate(reader, start=2):
             try:
-                test = RankedTest(_parse_id(row[1]), float(row[2]), float(row[3]))
+                tid, prio, dur = _parse_id(row[1]), float(row[2]), float(row[3])
             except (IndexError, ValueError) as exc:
                 raise MalformedRow(rownum, str(exc)) from None
-            if test.mean_duration_s < 0:
+            if dur < 0:
                 raise MalformedRow(rownum, f"negative duration {row[3]!r}")
-            tests.append(test)
-    return PrioritizedSuite(tests)
+            ids.append(tid)
+            priority.append(prio)
+            duration_s.append(dur)
+    return PrioritizedSuite(_object_array(ids), np.array(priority, dtype=np.float64),
+                            np.array(duration_s, dtype=np.float64), np.arange(len(ids)))
 
 
 def write_order(tests: Iterable, path: str | Path) -> None:

@@ -27,7 +27,7 @@ from testprio.net import (
     xavier_init,
 )
 from testprio.pipeline import ExperimentPlan, history_length_study, run_pipeline
-from testprio.prioritize import PrioritizedSuite, RankedTest, select_within_budget
+from testprio.prioritize import PrioritizedSuite, select_within_budget
 from testprio.rocket import geometric_weights, linear_weights, priority
 from testprio.simulate import (
     GSDTSR_LIKE,
@@ -232,10 +232,11 @@ def test_criterion_7_budget_safety_and_monotonicity():
     calls = 0
     for _ in range(50_000):
         n = rng.randint(1, 12)
-        suite = PrioritizedSuite(tuple(
-            RankedTest(i, 1.0 - i * 0.01, rng.uniform(0.01, 10.0)) for i in range(n)
-        ))
-        total = sum(t.mean_duration_s for t in suite.tests)
+        durations = [rng.uniform(0.01, 10.0) for _ in range(n)]
+        suite = PrioritizedSuite(np.array(list(range(n)), dtype=object),
+                                 np.array([1.0 - i * 0.01 for i in range(n)]),
+                                 np.array(durations), np.arange(n))
+        total = sum(durations)
         b1 = rng.uniform(0.0, total * 1.1)
         b2 = b1 + rng.uniform(0.0, total * 0.5)
         r1 = select_within_budget(suite, b1)

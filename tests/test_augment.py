@@ -3,8 +3,9 @@ from __future__ import annotations
 import logging
 import math
 import random
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,51 @@ from testprio.augment import (
     nearest_neighbors,
     split_bins,
 )
-from testprio.features import FeatureSet, FeatureVector, stack
+from testprio.features import FeatureSet, stack
 from testprio.history import FAIL, NOT_RUN
+
+
+@dataclass(frozen=True)
+class Row:
+    """One labeled feature vector as an object, the form the reference
+    rebalancer below was written on."""
+
+    test_id: object
+    es_window: tuple[int, ...]
+    duration_norm: float
+    last_run_norm: float
+    distance: int
+    change_in_status: int
+    label_priority: float | None = None
+
+    def flatten(self) -> np.ndarray:
+        return np.array(
+            [*self.es_window, self.duration_norm, self.last_run_norm,
+             self.distance, self.change_in_status],
+            dtype=np.float64,
+        )
+
+
+def as_set(rows) -> FeatureSet:
+    """Rows stacked into the arrays augment works on; labeled iff every row is."""
+    rows = list(rows)
+    X = np.array([r.flatten() for r in rows]).reshape(len(rows), 14)
+    labels = None
+    if all(r.label_priority is not None for r in rows):
+        labels = np.array([r.label_priority for r in rows], dtype=np.float64)
+    return FeatureSet(X, [r.test_id for r in rows], labels)
+
+
+def rows_of(data: FeatureSet) -> list[Row]:
+    labels = [None] * len(data) if data.labels is None else data.labels.tolist()
+    return [Row(tid, tuple(int(s) for s in x[:10]), x[10], x[11], int(x[12]), int(x[13]), label)
+            for tid, x, label in zip(data.test_ids, data.X.tolist(), labels)]
 
 
 def vec(test_id, window, duration=0.5, lastrun=0.5, label=0.5):
     window = tuple(window)
     executed = [s for s in window if s != -1]
-    return FeatureVector(
+    return Row(
         test_id=test_id,
         es_window=window,
         duration_norm=duration,
@@ -36,7 +74,7 @@ def vec(test_id, window, duration=0.5, lastrun=0.5, label=0.5):
     )
 
 
-# --- the reference: the rebalancer as it was written on FeatureVector objects ---
+# --- the reference: the rebalancer as it was written on row objects ---
 
 def _last_executed_failed(window) -> bool:
     for status in reversed(window):
@@ -56,7 +94,7 @@ def reference_smoter_interpolate(seed, neighbor, rng):
     u = float(rng.uniform())
     lerp = lambda a, b: (1.0 - u) * a + u * b
     near = seed if u <= 0.5 else neighbor
-    return FeatureVector(
+    return Row(
         test_id=seed.test_id,
         es_window=near.es_window,
         duration_norm=lerp(seed.duration_norm, neighbor.duration_norm),
@@ -119,7 +157,7 @@ def reference_augment(vectors, config):
 
 def assert_same(out: FeatureSet, expected):
     """Same rows, labels and ids, bit for bit and in order."""
-    X, labels, ids = stack(expected)
+    X, labels, ids = stack(expected if isinstance(expected, FeatureSet) else as_set(expected))
     assert isinstance(out, FeatureSet)
     assert np.array_equal(out.X, X)
     assert np.array_equal(out.labels, labels)
@@ -136,31 +174,31 @@ DISCRETE = list(range(10)) + [12, 13]  # window, distance, change in status
 
 class TestSplitBins:
     def test_window_ending_in_fail(self):
-        failed, passed = split_bins([vec(1, [0] * 9 + [1])])
+        failed, passed = split_bins(as_set([vec(1, [0] * 9 + [1])]))
         assert len(failed) == 1 and not passed
 
     def test_all_pass(self):
-        failed, passed = split_bins([vec(1, [0] * 10)])
+        failed, passed = split_bins(as_set([vec(1, [0] * 10)]))
         assert not failed and len(passed) == 1
 
     def test_empty(self):
-        failed, passed = split_bins([])
+        failed, passed = split_bins(as_set([]))
         assert len(failed) == len(passed) == 0
 
     def test_most_recent_executed_wins_over_trailing_gap(self):
         # last slot not executed, but the last *executed* verdict is a fail
-        failed, passed = split_bins([vec(1, [0] * 8 + [1, -1])])
+        failed, passed = split_bins(as_set([vec(1, [0] * 8 + [1, -1])]))
         assert len(failed) == 1 and not passed
 
     def test_never_executed_goes_to_passed(self):
-        failed, passed = split_bins([vec(1, [-1] * 10)])
+        failed, passed = split_bins(as_set([vec(1, [-1] * 10)]))
         assert not failed and len(passed) == 1
 
     def test_partition_is_total(self):
         rng = random.Random(5)
         vectors = [vec(i, [rng.choice([-1, 0, 1]) for _ in range(10)])
                    for i in range(100)]
-        failed, passed = split_bins(vectors)
+        failed, passed = split_bins(as_set(vectors))
         assert len(failed) + len(passed) == len(vectors)
         ref_failed, ref_passed = reference_split_bins(vectors)
         assert_same(failed, ref_failed)
@@ -220,7 +258,7 @@ class TestGaussianPerturb:
     def test_deterministic_under_seed(self):
         # With one neighbor the safe zone is half that neighbor's distance,
         # so every synthetic row is a perturbation.
-        vectors = population(8, 400, random.Random(8))
+        vectors = as_set(population(8, 400, random.Random(8)))
         cfg = AugmentConfig(k_neighbors=1, target_fail_ratio=0.15, rng_seed=42)
         a, b = augment(vectors, cfg), augment(vectors, cfg)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.labels, b.labels)
@@ -242,7 +280,7 @@ class TestNearestNeighbors:
         twins = {v.test_id: replace(v, test_id=f"{v.test_id}-twin") for v in vectors[:10]}
         vectors += list(twins.values())
         rng.shuffle(vectors)
-        fail_X, _, ids = stack(split_bins(vectors)[0])
+        fail_X, _, ids = stack(split_bins(as_set(vectors))[0])
         idx, dist = nearest_neighbors(fail_X, 3)
         position = {tid: i for i, tid in enumerate(ids)}
         for tid in twins:
@@ -285,21 +323,30 @@ def test_fail_ratio_counts_the_split_bins_fail_bin():
         windows[rng.random(n) < 0.2] = -1  # rows that never ran
         X = np.column_stack([windows, rng.random((n, 4))])
         vectors = FeatureSet(X, list(range(n)), rng.random(n))
-        expected = len(reference_split_bins(list(vectors))[0]) / n
-        assert fail_ratio(vectors) == expected == fail_ratio(list(vectors))
+        expected = len(reference_split_bins(rows_of(vectors))[0]) / n
+        assert fail_ratio(vectors) == expected
         assert len(split_bins(vectors)[0]) / n == expected
     assert fail_ratio(FeatureSet(np.empty((0, 14)), [])) == 0.0
+
+
+def test_the_augment_submodule_is_not_shadowed_by_its_function():
+    """The package does not re-export augment(), which would rebind the
+    attribute ``testprio.augment`` from the submodule to the function."""
+    import testprio.augment as aug
+
+    assert aug is sys.modules["testprio.augment"]
+    assert aug.fail_mask is not None
 
 
 class TestAugment:
     def test_already_balanced_returns_unchanged(self):
         vectors = population(10, 10, random.Random(1))
-        out = augment(vectors, AugmentConfig(target_fail_ratio=0.3, rng_seed=0))
+        out = augment(as_set(vectors), AugmentConfig(target_fail_ratio=0.3, rng_seed=0))
         assert_same(out, vectors)
 
     def test_paint_control_like_imbalance_reaches_target(self):
         """0.19% failing input, 2.6% target: output meets the target."""
-        vectors = population(4, 2096, random.Random(2))
+        vectors = as_set(population(4, 2096, random.Random(2)))
         assert fail_ratio(vectors) == pytest.approx(0.0019, abs=2e-4)
         out = augment(vectors, AugmentConfig(target_fail_ratio=0.026, rng_seed=0))
         assert fail_ratio(out) >= 0.026
@@ -307,29 +354,29 @@ class TestAugment:
     def test_singleton_fail_bin_warns_and_returns_input(self, caplog):
         vectors = population(1, 50, random.Random(3))
         with caplog.at_level(logging.WARNING):
-            out = augment(vectors, AugmentConfig(rng_seed=0))
+            out = augment(as_set(vectors), AugmentConfig(rng_seed=0))
         assert_same(out, vectors)
         assert any("fail bin" in message for message in caplog.messages)
 
     def test_unlabeled_input_rejected(self):
         bad = [vec(1, [0] * 9 + [1], label=None), vec(2, [0] * 9 + [1], label=None)]
         with pytest.raises(ValueError):
-            augment(bad, AugmentConfig())
+            augment(as_set(bad), AugmentConfig())
 
     def test_original_failures_never_dropped(self):
         rng = random.Random(4)
         vectors = population(6, 300, rng)
-        out = augment(vectors, AugmentConfig(target_fail_ratio=0.2,
-                                             pass_keep_fraction=0.5, rng_seed=1))
+        out = augment(as_set(vectors), AugmentConfig(target_fail_ratio=0.2,
+                                                     pass_keep_fraction=0.5, rng_seed=1))
         originals = [v for v in vectors if v.es_window[-1] == 1]
-        X, labels, ids = stack(originals)
+        X, labels, ids = stack(as_set(originals))
         rows = [out.test_ids.index(tid) for tid in ids]  # synthetic rows reuse ids later
         assert np.array_equal(out.X[rows], X) and np.array_equal(out.labels[rows], labels)
 
     def test_undersampling_touches_only_passed(self):
         vectors = population(5, 200, random.Random(5))
-        out = augment(vectors, AugmentConfig(target_fail_ratio=0.1,
-                                             pass_keep_fraction=0.4, rng_seed=2))
+        out = augment(as_set(vectors), AugmentConfig(target_fail_ratio=0.1,
+                                                     pass_keep_fraction=0.4, rng_seed=2))
         passed = split_bins(out)[1]
         input_passed = {v.test_id: v.flatten() for v in reference_split_bins(vectors)[1]}
         assert len(passed) == int(0.4 * 200)
@@ -337,7 +384,7 @@ class TestAugment:
             assert np.array_equal(input_passed[tid], x)
 
     def test_reproducible_byte_identical(self):
-        vectors = population(8, 400, random.Random(6))
+        vectors = as_set(population(8, 400, random.Random(6)))
         cfg = AugmentConfig(target_fail_ratio=0.15, rng_seed=123)
         first = augment(vectors, cfg)
         assert_same(augment(vectors, cfg), first)
@@ -345,7 +392,7 @@ class TestAugment:
     def test_synthetic_values_stay_in_bounds(self):
         rng = random.Random(7)
         vectors = population(10, 500, rng)
-        out = augment(vectors, AugmentConfig(target_fail_ratio=0.25, rng_seed=3))
+        out = augment(as_set(vectors), AugmentConfig(target_fail_ratio=0.25, rng_seed=3))
         synthetic = out[len(vectors):]
         assert len(synthetic), "expected oversampling to add vectors"
         assert ((0.0 <= synthetic.X[:, 10:12]) & (synthetic.X[:, 10:12] <= 1.0)).all()
@@ -376,9 +423,7 @@ class TestAugment:
                             pass_keep_fraction=pass_keep_fraction, rng_seed=n_passed)
         expected = reference_augment(vectors, cfg)
         assert len(expected) > len(vectors) * pass_keep_fraction  # it synthesized rows
-        assert_same(augment(vectors, cfg), expected)
-        X, labels, ids = stack(vectors)
-        assert_same(augment(FeatureSet(X, ids, labels), cfg), expected)
+        assert_same(augment(as_set(vectors), cfg), expected)
 
     def test_memory_is_bounded_by_the_row_blocks(self):
         """4,000 fail-bin rows, where the dense (n_fail, n_fail, 14) tensor

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from testprio.cli import main
-from testprio.features import load_features_csv
+from testprio.features import DERIVED_FEATURES, load_features_csv
 from testprio.history import ColumnMapping, emit_csv
 from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
 
@@ -71,8 +71,8 @@ def test_ingest_short_row_exits_2(tmp_path, capsys):
 def test_label_writes_features(dataset, tmp_path):
     assert main(["label", str(dataset), "--out-dir", str(tmp_path)]) == 0
     vectors = load_features_csv(tmp_path / "features.csv")
-    assert vectors and all(v.label_priority is not None for v in vectors)
-    assert all(len(v.es_window) == 10 for v in vectors)
+    assert len(vectors) and vectors.labels is not None
+    assert vectors.X.shape[1] == 10 + DERIVED_FEATURES
 
 
 def test_augment_rebalances(dataset, tmp_path):
@@ -120,6 +120,32 @@ def test_prioritize_and_select(dataset, trained_model, tmp_path):
     selection = (tmp_path / "selection.csv").read_text().splitlines()
     assert selection[0] == "test_id,included,reason"
     assert any(line.endswith("over_budget") for line in selection[1:])
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
+def test_select_rejects_a_budget_that_is_not_finite_and_non_negative(tmp_path, capsys, budget):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("rank,test_id,priority,duration_s\n1,a,0.9,1.5\n2,b,0.5,2.0\n")
+    assert main(["select", str(suite), "--budget", budget, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget must be a finite number") and err.count("\n") == 1
+    assert not (tmp_path / "selection.csv").exists()
+
+
+FEATURES_HEADER = "Id,ES1,ES2,Duration,LastRun,Distance,ChangeInStatus,Priority\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0,1,0.5,0.5,1,1,\n2,0,0,0.2,0.4,0,0,\n", "no Priority labels"),
+    ("", "no feature rows"),
+], ids=["empty-priority", "header-only"])
+def test_augment_rejects_features_it_cannot_rebalance(tmp_path, capsys, rows, message):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURES_HEADER + rows)
+    assert main(["augment", str(features), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "augmented.csv").exists()
 
 
 def test_evaluate_model_accuracy(dataset, trained_model, capsys):

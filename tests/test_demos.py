@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("02_priority_labels.py", "the five most failure-prone right now"),
     ("03_rebalance_rare_failures.py",
      "original failures all kept; rerun with the same seed is identical"),
+    ("05_budget_selection.py", "budget    60s -> run ui-login, smoke-api, export-csv"),
+    ("06_replay_experiment.py", "phases: PT "),
 ])
 def test_demo_runs(demo, expected):
     env = dict(os.environ)

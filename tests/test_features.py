@@ -6,9 +6,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from testprio.errors import OutOfRange, WindowLenMismatch
+from testprio.errors import MalformedRow, OutOfRange, WindowLenMismatch
 from testprio.features import (
-    FeatureVector,
+    FeatureSet,
     _encode_last_run_clipped,
     bounds_from_matrix,
     change_in_status,
@@ -105,24 +105,22 @@ class TestWindowFeatures:
 class TestExtract:
     def test_all_pass_window(self):
         cycles = cycles_from([(1, c, False, 3.0) for c in range(1, 11)])
-        vectors = extract(build_status_matrix(cycles, 10))
-        v = vectors[0]
-        assert v.es_window == (0,) * 10
-        assert v.distance == 0
-        assert v.change_in_status == 0
-        assert len(v.flatten()) == 14
+        v = extract(build_status_matrix(cycles, 10)).X[0]
+        assert v.shape == (14,)
+        assert (v[:10] == 0).all()
+        assert v[12] == 0  # distance
+        assert v[13] == 0  # change in status
 
     def test_order_preserved(self):
         cycles = cycles_from([(2, 1, False), (1, 1, False)] +
                              [(2, c, False) for c in range(2, 11)])
-        vectors = extract(build_status_matrix(cycles, 10))
-        assert [v.test_id for v in vectors] == [2, 1]
+        assert extract(build_status_matrix(cycles, 10)).test_ids == (2, 1)
 
     def test_fail_in_last_cycle(self):
         cycles = cycles_from([(1, c, c == 10) for c in range(1, 11)])
-        v = extract(build_status_matrix(cycles, 10))[0]
-        assert v.es_window[-1] == 1
-        assert v.distance == abs(1 - v.es_window[0]) == 1
+        v = extract(build_status_matrix(cycles, 10)).X[0]
+        assert v[9] == 1
+        assert v[12] == abs(1 - v[0]) == 1
 
     def test_window_len_mismatch(self, tiny_history):
         with pytest.raises(WindowLenMismatch):
@@ -140,11 +138,9 @@ class TestExtract:
         for _ in range(20):
             cycles = random_cycles(rng)
             matrix = build_status_matrix(cycles, 10)
-            for v in extract(matrix):
-                flat = v.flatten()
-                assert flat.shape == (14,)
-                assert 0.0 <= v.duration_norm <= 1.0
-                assert 0.0 <= v.last_run_norm <= 1.0
+            X = extract(matrix).X
+            assert X.shape == (len(matrix.test_ids), 14)
+            assert ((0.0 <= X[:, 10:12]) & (X[:, 10:12] <= 1.0)).all()
 
     def test_feature_matrix_matches_per_row_helpers(self):
         """feature_matrix agrees bitwise with the scalar definition of each
@@ -175,21 +171,23 @@ class TestFeatureSet:
         matrix = build_status_matrix(tiny_history, 10)
         vectors = extract(matrix)
         assert len(vectors) == len(matrix.test_ids)
-        assert [v.test_id for v in vectors] == list(matrix.test_ids)
-        X = feature_matrix(matrix)
-        for i, v in enumerate(vectors):
-            assert v == vectors[i]
-            assert np.array_equal(v.flatten(), X[i])
-            assert v.label_priority is None
-        assert [v.test_id for v in vectors[1:]] == list(matrix.test_ids[1:])
+        assert vectors.test_ids == tuple(matrix.test_ids)
+        assert np.array_equal(vectors.X, feature_matrix(matrix))
+        assert vectors.labels is None
+        tail = vectors[1:]
+        assert tail.test_ids == tuple(matrix.test_ids[1:])
+        assert np.array_equal(tail.X, vectors.X[1:])
+        picked = vectors[np.array([2, 0])]
+        assert picked.test_ids == (matrix.test_ids[2], matrix.test_ids[0])
+        assert np.array_equal(picked.X, vectors.X[[2, 0]])
 
     def test_stack_of_a_set_equals_stack_of_its_vectors(self):
         rng = random.Random(13)
         matrix = build_status_matrix(random_cycles(rng), 10, include_tests=[999])
         labeled = label_dataset(matrix, linear_weights(10))
         X, y, ids = stack(labeled)
-        X_obj, y_obj, ids_obj = stack(list(labeled))
-        assert np.array_equal(X, X_obj) and np.array_equal(y, y_obj) and ids == ids_obj
+        assert X is labeled.X and y is labeled.labels and ids == list(matrix.test_ids)
+        assert np.array_equal(X, feature_matrix(matrix))
         assert stack(extract(matrix))[1] is None
 
     def test_is_read_only(self, tiny_history):
@@ -201,10 +199,33 @@ class TestFeatureSet:
             y[0] = 5.0
 
 
+def assert_same_set(a: FeatureSet, b: FeatureSet):
+    assert a.test_ids == b.test_ids and np.array_equal(a.X, b.X)
+    assert (a.labels is None) == (b.labels is None)
+    assert a.labels is None or np.array_equal(a.labels, b.labels)
+
+
 def test_features_csv_round_trip(tmp_path, tiny_history):
     matrix = build_status_matrix(tiny_history, 10)
-    vectors = list(extract(matrix).with_labels(0.25 * np.arange(len(matrix.test_ids))))
-    vectors[1] = FeatureVector(**{**vectors[1].__dict__, "label_priority": None})
+    unlabeled = extract(matrix)
+    labeled = unlabeled.with_labels(np.linspace(0.0, 1.0, len(matrix.test_ids)) ** 3)
+    for data in (labeled, unlabeled):
+        path = tmp_path / "features.csv"
+        dump_features_csv(data, path)
+        assert_same_set(load_features_csv(path), data)
+
+
+@pytest.mark.parametrize("blank", [1, 0])
+def test_features_csv_with_labels_on_some_rows_is_malformed(tmp_path, tiny_history, blank):
+    """Priority is set on every row or on none; the first row that differs
+    from the first data row (file row 2) is named."""
+    data = extract(build_status_matrix(tiny_history, 10))
+    data = data.with_labels(0.25 * np.arange(len(data)))
     path = tmp_path / "features.csv"
-    dump_features_csv(vectors, path)
-    assert load_features_csv(path) == vectors
+    dump_features_csv(data, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1 + blank] = lines[1 + blank].rsplit(",", 1)[0] + ",\r\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        load_features_csv(path)
+    assert err.value.row == 3

@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from testprio.errors import LengthMismatch, UnbalancedPhaseEvents
+from testprio.errors import LengthMismatch
 from testprio.metrics import (
     CycleOutcome,
-    PhaseTimer,
     apfd,
     format_table,
     napfd,
-    phase_totals,
     regression_accuracy,
-    stopwatch_metrics,
+    span,
     time_metrics,
 )
 
@@ -203,42 +201,36 @@ class TestRegressionAccuracy:
 
 class TestStopwatch:
     def test_known_spans(self):
-        events = [("process", "start", 1.0), ("process", "stop", 3.5),
-                  ("prioritize", "start", 4.0), ("prioritize", "stop", 4.25),
-                  ("process", "start", 5.0), ("process", "stop", 5.5)]
-        totals = phase_totals(events)
+        stamps = iter([1.0, 3.5, 4.0, 4.25, 5.0, 5.5])
+        clock = lambda: next(stamps)  # noqa: E731
+        totals: dict[str, float] = {}
+        for name in ("process", "prioritize", "process"):
+            with span(totals, name, clock):
+                pass
         assert totals["process"] == pytest.approx(3.0)
         assert totals["prioritize"] == pytest.approx(0.25)
 
     def test_stopwatch_metric_keys(self):
-        events = [("total", "start", 0.0), ("process", "start", 0.0),
-                  ("process", "stop", 2.0), ("prioritize", "start", 2.0),
-                  ("prioritize", "stop", 3.0), ("total", "stop", 4.0)]
-        metrics = stopwatch_metrics(events)
-        assert metrics == {"PT": 2.0, "RT": 1.0, "TT": 4.0}
-        assert metrics["TT"] >= metrics["PT"] + metrics["RT"]
-
-    def test_missing_stop(self):
-        with pytest.raises(UnbalancedPhaseEvents):
-            phase_totals([("process", "start", 1.0)])
-
-    def test_double_start(self):
-        with pytest.raises(UnbalancedPhaseEvents):
-            phase_totals([("process", "start", 1.0), ("process", "start", 2.0)])
-
-    def test_stop_without_start(self):
-        with pytest.raises(UnbalancedPhaseEvents):
-            phase_totals([("process", "stop", 1.0)])
+        stamps = iter([0.0, 0.0, 2.0, 2.0, 3.0, 4.0])
+        clock = lambda: next(stamps)  # noqa: E731
+        totals: dict[str, float] = {}
+        with span(totals, "TT", clock):
+            with span(totals, "PT", clock):
+                pass
+            with span(totals, "RT", clock):
+                pass
+        assert totals == {"PT": 2.0, "RT": 1.0, "TT": 4.0}
+        assert totals["TT"] >= totals["PT"] + totals["RT"]
 
     def test_phase_timer_context(self):
-        timer = PhaseTimer()
-        with timer.phase("total"):
-            with timer.phase("process"):
-                pass
-            with timer.phase("prioritize"):
-                pass
-        metrics = stopwatch_metrics(timer.events)
-        assert metrics["TT"] >= metrics["PT"] + metrics["RT"]
+        """A span records its seconds also when its block raises."""
+        totals: dict[str, float] = {}
+        with pytest.raises(KeyError):
+            with span(totals, "TT"):
+                with span(totals, "PT"):
+                    raise KeyError("boom")
+        assert set(totals) == {"PT", "TT"}
+        assert totals["TT"] >= totals["PT"] >= 0.0
 
 
 def test_format_table_renders_none_as_na():

@@ -158,7 +158,10 @@ def test_training_vectors_are_each_cycles_labeled_rows_in_order():
         per_cycle = [label_dataset(ReplayState.from_cycles(cycles, 4, c.cycle_id)
                                    .matrix_for(c.test_ids), linear_weights(4), bounds)
                      for c in cycles]
-        assert list(pooled) == [v for labeled in per_cycle for v in labeled]
+        assert pooled.test_ids == tuple(t for labeled in per_cycle for t in labeled.test_ids)
+        assert np.array_equal(pooled.X, np.concatenate([labeled.X for labeled in per_cycle]))
+        assert np.array_equal(pooled.labels,
+                              np.concatenate([labeled.labels for labeled in per_cycle]))
 
 
 def test_ingest_and_replay_build_no_execution_records(tmp_path, monkeypatch):
@@ -247,6 +250,8 @@ class TestRunPipeline:
         for key in ("per_cycle", "per_cycle_txt", "aggregate", "aggregate_txt",
                     "timings", "model", "training_log", "holdout"):
             assert result.paths[key].exists(), key
+        timings = result.paths["timings"].read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in timings] == ["phase", "PT", "RT", "TT"]
 
     def test_untreated_order_alias(self, tiny_cycles):
         result = run_pipeline(tiny_plan(tiny_cycles, strategies=("untreated-order",)))
@@ -490,7 +495,7 @@ def test_scoring_orders_as_a_matrix_matches_scoring_each_order():
         for r, perm in enumerate(perms):
             expected = reference_score(perm.tolist(), failed, actual, est, n_faults, budget)
             assert {key: values[r] for key, values in got.items()} == expected
-            suite = PrioritizedSuite.from_arrays(
+            suite = PrioritizedSuite(
                 np.arange(n, dtype=object)[perm], np.zeros(n), np.array(est)[perm].reshape(n),
                 perm)
             assert _evaluate_suite(suite, *arrays, n_faults, budget) == expected

@@ -10,7 +10,6 @@ from testprio.errors import LengthMismatch, MalformedRow, NonFinitePriority
 from testprio.prioritize import (
     OVER_BUDGET,
     PrioritizedSuite,
-    RankedTest,
     budget_walk,
     rank,
     read_suite_csv,
@@ -21,7 +20,7 @@ from testprio.prioritize import (
 
 
 def reference_rank(ids, priorities):
-    """rank as it was when it built one RankedTest per test: list.sort on
+    """rank as it was when it built one record object per test: list.sort on
     the negated priority, which is stable."""
     entries = list(zip(ids, priorities))
     entries.sort(key=lambda e: -e[1])
@@ -69,10 +68,10 @@ class TestRank:
             expected = reference_rank(ids, prios)
             assert suite.order() == expected
             by_id = {tid: (p, d) for tid, p, d in zip(ids, prios, durations)}
-            for t in suite.tests:
-                p, d = by_id[t.test_id]
-                assert (math.copysign(1.0, t.priority), t.priority, t.mean_duration_s) \
-                    == (math.copysign(1.0, p), p, d)
+            ranked = zip(suite.order(), suite.priority.tolist(), suite.duration_s.tolist())
+            for tid, prio, dur in ranked:
+                p, d = by_id[tid]
+                assert (math.copysign(1.0, prio), prio, dur) == (math.copysign(1.0, p), p, d)
             assert [ids[i] for i in suite.index] == expected
 
     def test_idempotent(self):
@@ -90,22 +89,23 @@ class TestRank:
 
     def test_durations_attached(self):
         suite = rank(["a"], [0.9], [4.5])
-        assert suite.tests[0].mean_duration_s == 4.5
-        assert rank(["a"], [0.9]).tests[0].mean_duration_s == 0.0
+        assert suite.duration_s.tolist() == [4.5]
+        assert rank(["a"], [0.9]).duration_s.tolist() == [0.0]
 
 
 def suite_of(durations, priorities=None):
     if priorities is None:
         priorities = [1.0 - 0.01 * i for i in range(len(durations))]
-    return PrioritizedSuite(tuple(
-        RankedTest(i, p, d) for i, (p, d) in enumerate(zip(priorities, durations))
-    ))
+    n = len(durations)
+    return PrioritizedSuite(np.array(list(range(n)), dtype=object),
+                            np.array(priorities, dtype=np.float64),
+                            np.array(durations, dtype=np.float64), np.arange(n))
 
 
 class TestSelectWithinBudget:
     def test_zero_budget_selects_nothing(self):
         result = select_within_budget(suite_of([5.0, 3.0, 4.0]), 0.0)
-        assert result.selected == ()
+        assert result.order() == []
         assert [reason for _, reason in result.skipped] == [OVER_BUDGET] * 3
         assert result.used_s == 0.0
 
@@ -114,18 +114,18 @@ class TestSelectWithinBudget:
         first two (using the whole budget), skip the third."""
         result = select_within_budget(
             suite_of([5.0, 3.0, 4.0], [0.9, 0.8, 0.7]), 8.0)
-        assert [t.test_id for t in result.selected] == [0, 1]
+        assert result.order() == [0, 1]
         assert result.used_s == 8.0
         assert result.skipped == ((2, OVER_BUDGET),)
 
     def test_budget_covers_everything(self):
         result = select_within_budget(suite_of([5.0, 3.0, 4.0]), 12.0)
-        assert len(result.selected) == 3 and not result.skipped
+        assert len(result.order()) == 3 and not result.skipped
 
     def test_skip_and_continue(self):
         """A skipped expensive test does not block cheaper ones behind it."""
         result = select_within_budget(suite_of([10.0, 2.0, 3.0]), 5.0)
-        assert [t.test_id for t in result.selected] == [1, 2]
+        assert result.order() == [1, 2]
 
     def test_selection_semantics_are_not_prefix_monotone(self):
         # Raising the budget can legitimately swap which tests fit: at 2s the
@@ -133,12 +133,17 @@ class TestSelectWithinBudget:
         suite = suite_of([10.0, 2.0])
         small = select_within_budget(suite, 2.0)
         large = select_within_budget(suite, 10.0)
-        assert [t.test_id for t in small.selected] == [1]
-        assert [t.test_id for t in large.selected] == [0]
+        assert small.order() == [1]
+        assert large.order() == [0]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             select_within_budget(suite_of([1.0]), -0.1)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="finite"):
+            select_within_budget(suite_of([1.0]), budget)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -152,8 +157,8 @@ class TestSelectWithinBudget:
             result = select_within_budget(suite_of(durations), budget)
             assert result.used_s <= budget + 1e-12
             assert result.used_s == pytest.approx(
-                sum(t.mean_duration_s for t in result.selected))
-            assert len(result.selected) + len(result.skipped) == len(durations)
+                sum(result.suite.duration_s[result.taken].tolist()))
+            assert len(result.order()) + len(result.skipped) == len(durations)
 
     def test_used_time_monotone_in_budget(self):
         rng = random.Random(5)

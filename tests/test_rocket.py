@@ -142,13 +142,13 @@ class TestLabelDataset:
         cycles = cycles_from([(1, 10, False)])
         matrix = build_status_matrix(cycles, 10, include_tests=[2, 3])
         labeled = label_dataset(matrix, linear_weights(10))
-        by_id = {v.test_id: v.label_priority for v in labeled}
+        by_id = dict(zip(labeled.test_ids, labeled.labels.tolist()))
         assert by_id[2] == 0.0 and by_id[3] == 0.0
 
     def test_always_failing_labels_one(self):
         cycles = cycles_from([(1, c, True) for c in range(1, 11)])
         labeled = label_dataset(build_status_matrix(cycles, 10), linear_weights(10))
-        assert labeled[0].label_priority == pytest.approx(1.0)
+        assert labeled.labels[0] == pytest.approx(1.0)
 
     def test_mixed_matrix_matches_per_row_loop(self):
         rng = random.Random(24)
@@ -157,10 +157,11 @@ class TestLabelDataset:
         matrix = build_status_matrix(cycles_from(rows), 10)
         scheme = linear_weights(10)
         labeled = label_dataset(matrix, scheme)
-        for i, v in enumerate(labeled):
+        assert len(labeled.labels) == len(matrix.test_ids)
+        for i, label in enumerate(labeled.labels.tolist()):
             expected = reference_priority(matrix.statuses[i], scheme.weights)
-            assert v.label_priority == pytest.approx(expected, abs=1e-12)
-            assert 0.0 <= v.label_priority <= 1.0
+            assert label == pytest.approx(expected, abs=1e-12)
+            assert 0.0 <= label <= 1.0
 
     def test_scheme_must_match_window(self, tiny_history):
         matrix = build_status_matrix(tiny_history, 10)
