@@ -361,6 +361,9 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             raise InputError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}")
     if not plan.strategies:
         raise InputError("no strategies selected")
+    if not 0 <= plan.budget_fraction < np.inf:
+        raise InputError(f"budget fraction must be a finite number >= 0, "
+                         f"got {plan.budget_fraction}")
 
     timings = {"PT": 0.0, "RT": 0.0, "TT": 0.0}
     rows: list[dict] = []

@@ -211,6 +211,14 @@ def test_replay_unknown_strategy_exits_2(dataset, tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("fraction", ["-1", "nan", "inf"])
+def test_replay_rejects_a_budget_fraction_that_is_not_finite_and_non_negative(
+        dataset, tmp_path, capsys, fraction):
+    assert main(["replay", str(dataset), "--budget-fraction", fraction,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: budget fraction must be")
+
+
 def test_replay_numeric_failure_exits_3(dataset, tmp_path):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text("train.learning_rate = 1e200\ntrain.epochs_max = 10\n"
