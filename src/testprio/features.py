@@ -119,6 +119,9 @@ class FeatureSet:
         return len(self.test_ids)
 
     def __getitem__(self, rows: slice | np.ndarray) -> "FeatureSet":
+        if not isinstance(rows, slice) and np.ndim(rows) != 1:
+            raise TypeError(f"only slices and index arrays select FeatureSet rows, "
+                            f"not {type(rows).__name__}; read X, test_ids and labels for rows")
         ids = [self.test_ids[j] for j in np.arange(len(self))[rows].tolist()]
         return FeatureSet(self.X[rows], ids, None if self.labels is None else self.labels[rows])
 

@@ -8,6 +8,13 @@ priorities side by side, in file order, with last-run stamps as int64
 epoch microseconds. ``ExecutionRecord`` objects, with datetimes, are built
 only for callers that read ``CycleLog.records`` or construct a cycle from records.
 
+``ingest_csv`` reads the log with numpy's C CSV parser (``np.loadtxt``) in
+blocks of whole rows, straight into whole-log columns, and checks them in
+bulk. Whatever that reader might read differently from ``csv`` (stray
+quotes, NUL characters, bare CR line ends, ``1_000``, non-ASCII digits), and
+every invalid log, goes to a row-by-row ``csv.DictReader`` walk, which
+defines a valid row and reports the first bad one.
+
 ``ReplayState`` is the one window builder. It folds cycles in one at a
 time, a few array operations per cycle, into per-test status windows where
 fail = +1, pass = 0 and not-executed = -1, with the most recent cycle in the
@@ -18,13 +25,13 @@ is a snapshot of it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,16 +54,25 @@ DEFAULT_WINDOW = 10
 
 NEVER_RAN = np.iinfo(np.int64).min  # last_run of a test with no execution yet
 _EPOCH, _UTC_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 
-# Rows parsed per chunk by ingest_csv. Only one chunk's rows are alive at a
-# time, which keeps the cyclic garbage collector's passes short, and each
-# chunk's ids, durations, stamps and cycles become arrays at once.
-INGEST_CHUNK_ROWS = 1024
+# Characters of the log read for one np.loadtxt call. A block is cut back to
+# its last line end outside quotes, so it holds whole rows; the columns of one
+# block are alive at a time besides the whole-log columns they are copied into.
+# Unless a row is longer than a read, a block is at most two reads long, within
+# csv.field_size_limit()'s default; ingest_csv leaves a longer block to csv.
+INGEST_BLOCK_CHARS = 1 << 16
+# Width of the verdict field as loadtxt reads it. A verdict that fills it may
+# have been cut short, and the row-by-row path takes the log.
+_VERDICT_WIDTH = 8
+# What may precede a '"' that opens a quoted field for csv: a field or line
+# start. After another '"', a '"' is the second of a doubled pair.
+_OPENS_AFTER = np.array([ord(c) for c in ',\n"'], dtype=np.uint32)
 
 
 def to_epoch_us(ts: datetime) -> int:
     """Microseconds since 1970-01-01; an aware stamp counts as its UTC time."""
-    return (ts - (_EPOCH if ts.utcoffset() is None else _UTC_EPOCH)) // timedelta(microseconds=1)
+    return (ts - (_EPOCH if ts.utcoffset() is None else _UTC_EPOCH)) // _US
 
 
 def from_epoch_us(us: int) -> datetime:
@@ -236,17 +252,18 @@ def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> lis
     the file order. Verdict must be encoded 0 = pass, 1 = fail. Extra
     columns (e.g. LastResults) are ignored.
 
-    The file is read with ``csv.reader`` in chunks of rows; each chunk is
-    transposed, and each column is parsed and checked in bulk. One stable
-    sort on the cycle column then splits the columns into ``CycleLog``s.
-    The whole file is parsed and validated before this returns. If any row
-    fails a check, the file is re-walked row by row (``_parse_row`` is the
-    definition of a valid row), which raises the first bad row's error with
-    its row number.
+    Below the header, ``np.loadtxt`` (numpy's C CSV parser) reads the file in
+    blocks of about ``INGEST_BLOCK_CHARS`` characters, each cut at a line end
+    outside quoted fields. Each block's fields are checked in bulk and copied
+    straight into whole-log columns, allocated once for the file's count of
+    line ends. One stable sort on the cycle column then splits the columns
+    into ``CycleLog``s. The whole file is parsed and validated before this
+    returns. If loadtxt rejects a block or any row fails a check, the file is
+    re-walked row by row (``_parse_row`` is the definition of a valid row),
+    which raises the first bad row's error with its row number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise MissingColumn(schema.id)
         for col in schema.required():
@@ -254,8 +271,8 @@ def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> lis
                 raise MissingColumn(col)
         has_prio = schema.prio is not None and schema.prio in header
         try:
-            cycles = _ingest_columns(reader, header, schema, has_prio)
-        except (ValueError, OverflowError, csv.Error):
+            cycles = _ingest_columns(fh, _line_ends(path) + 1, header, schema, has_prio)
+        except (ValueError, OverflowError):
             cycles = None
         if cycles is None:
             fh.seek(0)
@@ -263,46 +280,106 @@ def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> lis
     return cycles
 
 
-def _ingest_columns(reader, header: list[str], schema: ColumnMapping,
+def _line_ends(path: str | Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _blocks(fh, size: int):
+    """The rest of ``fh`` in blocks of whole rows. Each read of ``size``
+    characters is cut after its last line end with an even count of '"'
+    before it, so a quoted multi-line field is never split."""
+    held, odd = "", 0  # text read but not handed out; the parity of '"' in it
+    while text := fh.read(size):
+        odd ^= text.count('"') & 1
+        before, end = odd, len(text)  # before: the parity of held + text[:end]
+        while cut := text.rfind("\n", 0, end) + 1:
+            before ^= text.count('"', cut, end) & 1
+            if not before:
+                break
+            end = cut - 1
+        if cut:
+            yield held + text[:cut]
+            held = text[cut:]  # the parity of the rest is still odd
+        else:
+            held += text
+    if held:
+        yield held
+
+
+def _stray_quote(text: str) -> bool:
+    """Whether a '"' with an even count of '"' before it in the block sits
+    inside an unquoted field, where csv reads it as a plain character.
+    Without one, csv reads a line end inside a quoted field exactly when the
+    count of '"' before it is odd, so the block's cuts fall between rows."""
+    if '"' not in text:
+        return False
+    chars = np.frombuffer(f"\n{text}".encode("utf-32-le"), dtype=np.uint32)
+    at = np.flatnonzero(chars == ord('"'))
+    return not np.isin(chars[at[0::2] - 1], _OPENS_AFTER).all()
+
+
+def _block_stamps(texts: np.ndarray, offsets: set) -> np.ndarray | list[int]:
+    """Epoch microseconds of one block's LastRun fields. A block numpy may misread
+    is parsed by fromisoformat, as _parse_row does; ``offsets`` collects whether
+    stamps carry a UTC offset, and holding both kinds raises ValueError."""
+    try:
+        stamps = _parse_stamps(texts)
+        offsets.add(False)
+    except ValueError:
+        parsed = list(map(parse_timestamp, texts))
+        offsets.update(ts.utcoffset() is not None for ts in parsed)
+        stamps = list(map(to_epoch_us, parsed))
+    if len(offsets) > 1:
+        raise ValueError("LastRun stamps with and without a UTC offset")
+    return stamps
+
+
+def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
                     has_prio: bool) -> list[CycleLog] | None:
-    """The bulk path of ingest_csv. Returns None, or raises ValueError,
-    OverflowError or csv.Error, when some row is not valid."""
+    """The bulk path of ingest_csv over the rest of ``fh``, which holds at most
+    ``capacity`` rows. Returns None, or raises ValueError or OverflowError,
+    when some row is not valid or may be read differently by csv."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
     fields = [*schema.required(), schema.prio] if has_prio else list(schema.required())
-    at = [where[f] for f in fields]
-    ids, names, durations, stamps, verdicts, cycle_ids, prios = [], [], [], [], [], [], []
-    rows = filter(None, reader)  # a blank line reads as []; DictReader skips it
-    while chunk := list(islice(rows, INGEST_CHUNK_ROWS)):
-        columns = list(zip(*chunk))
-        del chunk
-        if len(columns) <= max(at):  # some row is too short to hold every field
+    usecols = [where[f] for f in fields]
+    dtype = np.dtype([("id", np.int64), ("name", object), ("duration", np.float64),
+                      ("last_run", object), ("verdict", f"U{_VERDICT_WIDTH}"),
+                      ("cycle", np.int64), ("prio", object)][: len(fields)])
+    ids, cycle = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
+    duration, stamps = np.empty(capacity), np.empty(capacity, np.int64)
+    names, failed = np.empty(capacity, object), np.empty(capacity, bool)
+    prios = np.empty(capacity, object) if has_prio else None
+    n, offsets = 0, set()
+    for text in _blocks(fh, INGEST_BLOCK_CHARS):
+        if not text.strip("\r\n"):
+            continue  # blank lines only, which csv.DictReader skips too
+        if "\0" in text or len(text) > csv.field_size_limit() or _stray_quote(text):
+            return None  # a U field drops trailing NULs; csv may reject a long field
+        rows = np.loadtxt(io.StringIO(text), dtype, delimiter=",", quotechar='"',
+                          comments=None, usecols=usecols, ndmin=1)
+        verdicts = rows["verdict"]
+        if np.char.str_len(verdicts).max() >= _VERDICT_WIDTH:
             return None
-        ids.append(np.fromiter(map(int, columns[at[0]]), np.int64, len(columns[0])))
-        names += map(sys.intern, columns[at[1]])
-        durations.append(np.fromiter(map(float, columns[at[2]]), np.float64, len(columns[0])))
-        stamps.append(_parse_stamps(columns[at[3]]))
-        verdicts += map(str.strip, columns[at[4]])
-        cycle_ids.append(np.fromiter(map(int, columns[at[5]]), np.int64, len(columns[0])))
+        verdicts = np.char.strip(verdicts)
+        block = slice(n, n + len(rows))
+        failed[block] = verdicts == "1"
+        if not (failed[block] | (verdicts == "0")).all():
+            return None
+        ids[block], duration[block], cycle[block] = rows["id"], rows["duration"], rows["cycle"]
+        names[block] = list(map(sys.intern, rows["name"]))
+        stamps[block] = _block_stamps(rows["last_run"], offsets)
         if has_prio:
-            prios += [float(p) if p else None for p in map(str.strip, columns[at[6]])]
-    n = len(names)
+            prios[block] = [float(p) if p else None for p in map(str.strip, rows["prio"])]
+        n = block.stop
     if not n:
         return []
-    duration, cycle = np.concatenate(durations), np.concatenate(cycle_ids)
-    distinct_ids, id_at = np.unique(np.concatenate(ids), return_inverse=True)
-    shared_ids = np.array(distinct_ids.tolist(), dtype=object)
-    if (
-        not set(verdicts) <= {"0", "1"}
-        or not np.isfinite(duration).all()
-        or (duration < 0).any()
-        or (cycle < 1).any()
-    ):
+    ids, cycle, duration, stamps = ids[:n], cycle[:n], duration[:n], stamps[:n]
+    if not np.isfinite(duration).all() or (duration < 0).any() or (cycle < 1).any():
         return None
-    failed = np.fromiter(map("1".__eq__, verdicts), dtype=bool, count=n)
-    names = np.fromiter(names, dtype=object, count=n)
-    stamps = np.concatenate(stamps)
-    prios = np.fromiter(prios, dtype=object, count=n) if has_prio else None
+    distinct_ids, id_at = np.unique(ids, return_inverse=True)
+    shared_ids = np.array(distinct_ids.tolist(), dtype=object)
 
     order = np.argsort(cycle, kind="stable")
     cycle = cycle[order]
@@ -440,8 +517,12 @@ class StatusMatrix:
         n = len(self.test_ids)
         if self.statuses.shape != (n, self.window_len):
             raise ValueError("statuses shape does not match test ids / window length")
-        bad = ~np.isin(self.statuses, (NOT_RUN, PASS, FAIL))
-        if bad.any():
+        statuses = self.statuses
+        if statuses.dtype == np.int8:  # NOT_RUN, PASS and FAIL are the int8 values -1..1
+            bad = statuses.size and (statuses.min() < NOT_RUN or statuses.max() > FAIL)
+        else:
+            bad = not np.isin(statuses, (NOT_RUN, PASS, FAIL)).all()
+        if bad:
             raise ValueError("statuses must be in {-1, 0, 1}")
 
     def __len__(self) -> int:

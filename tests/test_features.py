@@ -190,6 +190,14 @@ class TestFeatureSet:
         assert np.array_equal(X, feature_matrix(matrix))
         assert stack(extract(matrix))[1] is None
 
+    def test_an_int_or_iteration_raises_a_type_error_that_names_what_selects_rows(
+            self, tiny_history):
+        vectors = extract(build_status_matrix(tiny_history, 10))
+        for read in (lambda: vectors[0], lambda: vectors[np.int64(1)], lambda: list(vectors),
+                     lambda: [row for row in vectors], lambda: list(vectors[:0])):
+            with pytest.raises(TypeError, match="only slices and index arrays select"):
+                read()
+
     def test_is_read_only(self, tiny_history):
         labeled = label_dataset(build_status_matrix(tiny_history, 10), linear_weights(10))
         X, y, _ = stack(labeled)

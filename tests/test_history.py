@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from testprio import history
 from testprio.errors import (
     BadVerdict,
     DuplicateExecution,
@@ -23,6 +25,7 @@ from testprio.history import (
     ColumnMapping,
     CycleLog,
     ExecutionRecord,
+    StatusMatrix,
     Verdict,
     _parse_row,
     _parse_stamps,
@@ -124,7 +127,8 @@ class TestIngest:
 
 def dictreader_ingest(path, schema):
     """ingest_csv as it was before the columnar path: csv.DictReader and
-    _parse_row, one row at a time."""
+    _parse_row, one row at a time, plus the rule that a log's stamps all
+    carry a UTC offset or none do."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
@@ -134,9 +138,13 @@ def dictreader_ingest(path, schema):
             if col not in header:
                 raise MissingColumn(col)
         has_prio = schema.prio is not None and schema.prio in header
-        by_cycle, seen = {}, set()
+        by_cycle, seen, first_of_kind = {}, set(), {}
         for rownum, row in enumerate(reader, start=2):
             record = _parse_row(row, rownum, schema, has_prio)
+            first_of_kind.setdefault(record.last_run.utcoffset() is not None, rownum)
+            if len(first_of_kind) == 2:
+                raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
+                                           f"{min(first_of_kind.values())}'s in having a UTC offset")
             key = (record.test_id, record.cycle_id)
             if key in seen:
                 raise DuplicateExecution(record.test_id, record.cycle_id)
@@ -157,6 +165,18 @@ FAULTS = {
 }
 PADDED = st.sampled_from(["{}", " {}", "{} ", "  {}\t"])
 FREE_TEXT = st.text(alphabet='aT1 ,"\n', max_size=6)
+ZONES = st.sampled_from([timezone.utc, timezone(timedelta(hours=-5)),
+                         timezone(timedelta(hours=5, minutes=30))])
+
+
+@st.composite
+def stamp_texts(draw, offsets):
+    """A LastRun field: naive (a date or a datetime) when ``offsets`` is
+    "none", a datetime with a UTC offset when it is "all", either when "mixed"."""
+    stamp = draw(st.datetimes(datetime(2015, 1, 1), datetime(2017, 1, 1)))
+    if offsets == "all" or offsets == "mixed" and draw(st.booleans()):
+        return stamp.replace(tzinfo=draw(ZONES)).isoformat(sep=draw(st.sampled_from(" T")))
+    return draw(st.sampled_from([stamp.isoformat(sep=" "), stamp.date().isoformat()]))
 
 
 @st.composite
@@ -172,16 +192,15 @@ def execution_logs(draw):
     header = draw(st.permutations(fields + extras))
     last = {name: i for i, name in enumerate(header)}  # DictReader reads the last one
 
+    offsets = draw(st.sampled_from(["none", "none", "all", "mixed"]))
     rows = []
     for test_id, cycle in keys:
-        stamp = draw(st.datetimes(datetime(2015, 1, 1), datetime(2017, 1, 1)))
         value = {
             "Id": draw(PADDED).format(test_id),
             "Name": draw(FREE_TEXT),
             "Duration": draw(PADDED).format(
                 repr(draw(st.floats(0, 1e4, allow_nan=False)))),
-            "LastRun": draw(PADDED).format(draw(st.sampled_from(
-                [stamp.isoformat(sep=" "), stamp.date().isoformat()]))),
+            "LastRun": draw(PADDED).format(draw(stamp_texts(offsets))),
             "Verdict": draw(PADDED).format(draw(st.sampled_from("01"))),
             "Cycle": draw(PADDED).format(cycle),
             "CalcPrio": draw(st.sampled_from(["", "  ", repr(draw(st.floats(0, 1)))])),
@@ -243,6 +262,97 @@ def test_ingest_matches_row_by_row_dictreader(tmp_path, log):
     assert outcome(ingest_csv, path, schema) == expected
     if fault is not None:
         assert isinstance(expected[0], type), fault
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 40])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=execution_logs())
+def test_ingest_matches_row_by_row_dictreader_across_block_edges(tmp_path, block_chars, log):
+    """With tiny read blocks, quoted multi-line names, CRLF line ends and blank
+    lines fall across block edges; the outcome is still the DictReader loop's,
+    and a block of blank lines alone warns of nothing."""
+    text, _, schema = log
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = outcome(dictreader_ingest, path, schema)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+        assert outcome(ingest_csv, path, schema) == expected
+
+
+NAME_LAST = "Id,Duration,LastRun,Verdict,Cycle,Name\n"
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 40, 1 << 16])
+@pytest.mark.parametrize("text", [
+    # A stray quote in an unquoted field makes the count of '"' even at the
+    # line end inside the quoted name: csv reads rows 2 and 3 as one.
+    NAME_LAST + '1,1.0,2016-01-02,0,1,x"y\n2,1.0,2016-01-02,0,1,"a\n'
+                '3,1.0,2016-01-02,0,1,b"\n',
+    HEADER + '1,"a"b"c,1.0,2016-01-02,0,1\n',
+    HEADER + '1, "a",1.0,2016-01-02,0,1\n',
+    HEADER + '1,T1,1.0,2016-01-02,"0\0",1\n',  # a U field would drop the NUL
+    HEADER + f'1,T1,1.0,2016-01-02,0{" " * 7}x,1\n',  # cut short by the verdict field
+    HEADER + '1,T1,1.0,2016-01-02,0\r2,T2,1.0,2016-01-02,0,1\r',  # bare CR line ends
+    HEADER + '1,T1,1.0,2016-01-02,0,1\n \n',  # a line of one blank field
+    HEADER + '1,T1,1_0,2016-01-02,0,1\n',
+    HEADER + '1,T1,1.0,2016-01-02,0,1\n2,"T2\n',  # an unclosed quote
+])
+def test_text_csv_may_read_otherwise_takes_the_row_path(tmp_path, monkeypatch, block_chars,
+                                                        text):
+    path = write(tmp_path, text, header="")
+    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+    assert outcome(ingest_csv, path, ColumnMapping()) == expected
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 40])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.lists(st.one_of(
+    st.sampled_from(['a', '"', ",", "\n"]),
+    st.integers(10, 10**6).map("{},1.0,2016-01-02,0,1,".format),  # a row's start
+), max_size=6).map("".join), min_size=1, max_size=6))
+def test_raw_quotes_and_line_ends_in_names_read_as_csv_reads_them(tmp_path, block_chars, names):
+    """Names written without csv's quoting: stray, unclosed and doubled
+    quotes, and line ends inside or outside quoted fields, before text that
+    reads as a row of its own."""
+    text = NAME_LAST + "".join(f"{i},1.0,2016-01-02,0,1,{name}\n"
+                               for i, name in enumerate(names, start=1))
+    path = write(tmp_path, text, header="")
+    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+        assert outcome(ingest_csv, path, ColumnMapping()) == expected
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+@pytest.mark.parametrize("block_chars", [1, 7, 40])
+def test_quoted_names_are_read_in_bulk_across_block_edges(tmp_path, monkeypatch, block_chars,
+                                                          quoting):
+    """A block is never cut inside a quoted field, even where the field's
+    next line would read as a row of its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting)
+    writer.writerow(NAME_LAST.strip().split(","))
+    names = ["a\n2,1.0,2016-01-02,0,1,b", 'c,"d"', "e\r\nf", "", "g"]
+    for i, name in enumerate(names, start=1):
+        writer.writerow([i, 1.5, "2016-01-02 10:00:00", i % 2, 1 + i // 3, name])
+        out.write("\r\n" * (i % 2))
+    path = write(tmp_path, out.getvalue(), header="")
+    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    assert [n for c in expected[0] for n in c.names] == names
+    monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(history, "_ingest_rows", None)  # the row path is not taken
+    assert outcome(ingest_csv, path, ColumnMapping()) == expected
+
+
+def test_a_field_longer_than_csvs_limit_raises_csvs_error(tmp_path):
+    path = write(tmp_path, f"1,{'T' * (csv.field_size_limit() + 1)},1.0,2016-01-02,0,1\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        ingest_csv(path)
 
 
 def random_cycles(rng: random.Random, with_prio=False):
@@ -351,6 +461,23 @@ class TestStatusMatrix:
             matrix = build_status_matrix(cycles, rng.randint(1, 12))
             assert set(np.unique(matrix.statuses)) <= {-1, 0, 1}
 
+    @pytest.mark.parametrize("statuses", [
+        np.array([[0, 2]], dtype=np.int8),
+        np.array([[-2, 1]], dtype=np.int8),
+        np.array([[0.5, 1.0]]),
+        np.array([[0, 2]]),
+    ])
+    def test_statuses_outside_the_codomain_rejected(self, statuses):
+        with pytest.raises(ValueError, match="statuses must be in"):
+            StatusMatrix(("a",), 2, statuses, np.zeros(1), np.zeros(1, dtype=np.int64))
+
+    def test_statuses_of_any_dtype_inside_the_codomain_accepted(self):
+        for statuses in (np.array([[-1, 1]], dtype=np.int8), np.array([[0.0, -1.0]]),
+                         np.empty((0, 3), dtype=np.int8)):
+            n = len(statuses)
+            StatusMatrix(("a",)[:n], statuses.shape[1], statuses, np.zeros(n),
+                         np.zeros(n, dtype=np.int64))
+
     def test_matrix_invariant_to_file_row_order(self, tmp_path):
         """Shuffling the CSV rows does not change means or statuses."""
         rng = random.Random(9)
@@ -404,8 +531,8 @@ def test_bulk_stamps_equal_fromisoformat(stamps):
                                   " 2016-01-05", "2016-01-05 \t", "2016-01-05t09:00:00",
                                   "20160105", "2016-01-05 09:00:00,5"])
 def test_stamps_numpy_may_misread_take_the_row_path(tmp_path, text):
-    """An offset, padding or another ISO form leaves the bulk path, and the
-    row-by-row path gives fromisoformat's value, an aware one in UTC."""
+    """numpy does not parse an offset, padding or another ISO form; ingest
+    gives fromisoformat's value for it, an aware one in UTC."""
     with pytest.raises(ValueError):
         _parse_stamps(["2016-01-04", text])
     cycles = ingest_csv(write(tmp_path, f'1,T1,1.0,"{text}",0,1\n'))
@@ -428,6 +555,16 @@ def test_mixed_offset_kinds_rejected_at_the_first_differing_row(tmp_path):
             "2,T2,1.0,2016-01-05 10:00:00,0,2\n")
     with pytest.raises(MalformedRow, match="row 4: .*row 2.*UTC offset"):
         ingest_csv(write(tmp_path, body))
+
+
+def test_a_log_whose_stamps_all_carry_offsets_is_read_in_bulk(tmp_path, monkeypatch):
+    body = ("1,T1,1.0,2016-01-04 09:00:00+02:00,0,1\n"
+            "2,T2,1.0,2016-01-04T10:00:00.5-05:00,1,1\n"
+            "1,T1,1.0,2016-01-05 09:00:00Z,0,2\n")
+    path = write(tmp_path, body)
+    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    monkeypatch.setattr(history, "_ingest_rows", None)  # the row path is not taken
+    assert outcome(ingest_csv, path, ColumnMapping()) == expected
 
 
 def test_offset_stamps_give_the_features_of_their_utc_times(tmp_path):
