@@ -8,7 +8,7 @@ the other demos reuse.
 
 from pathlib import Path
 
-from testprio.history import build_status_matrix, emit_csv, ingest_csv
+from testprio.history import build_status_matrix, emit_csv, from_epoch_us, ingest_csv
 from testprio.simulate import PAINT_CONTROL_LIKE, generate_history, failure_ratio, row_count
 
 OUT = Path(__file__).parent / "out"
@@ -25,9 +25,11 @@ print(f"wrote {csv_path} ({row_count(cycles)} executions over {len(cycles)} cycl
 # Round-trip through the CSV reader; grouping and ordering are preserved.
 parsed = ingest_csv(csv_path)
 assert parsed == cycles
-first = parsed[0].records[0]
-print(f"\nfirst record: test {first.test_id} ({first.test_name}) ran "
-      f"{first.duration_s}s on {first.last_run}, verdict {first.verdict.name}")
+# Each cycle holds its rows as columns; last_run is int64 epoch microseconds.
+first = parsed[0]
+print(f"\nfirst row: test {first.test_ids[0]} ({first.names[0]}) ran "
+      f"{first.duration_s[0]}s on {from_epoch_us(first.last_run[0])}, "
+      f"{'failed' if first.failed[0] else 'passed'}")
 
 # The matrix view: last 10 outcomes per test, most recent last.
 # +1 = failed, 0 = passed, -1 = not executed in that cycle.

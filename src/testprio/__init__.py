@@ -3,21 +3,11 @@ suites, fit them into time budgets and score the orderings."""
 
 from . import errors
 from .augment import AugmentConfig, split_bins
-from .features import (
-    FeatureBounds,
-    bounds_from_matrix,
-    change_in_status,
-    distance,
-    encode_last_run,
-    extract,
-    normalize_duration,
-)
+from .features import FeatureBounds, bounds_from_matrix, extract
 from .history import (
     ColumnMapping,
     CycleLog,
-    ExecutionRecord,
     StatusMatrix,
-    Verdict,
     build_status_matrix,
     emit_csv,
     ingest_csv,

@@ -64,12 +64,6 @@ class WindowLenMismatch(InputError):
         self.expected = expected
 
 
-class OutOfRange(InputError):
-    def __init__(self, value, lo, hi):
-        super().__init__(f"value {value} outside [{lo}, {hi}]")
-        self.value = value
-
-
 class LengthMismatch(InputError):
     def __init__(self, a: int, b: int):
         super().__init__(f"sequence lengths differ: {a} vs {b}")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedRow, MissingColumn, OutOfRange, WindowLenMismatch
+from .errors import MalformedRow, MissingColumn, WindowLenMismatch
 from .history import (DEFAULT_WINDOW, FAIL, NEVER_RAN, NOT_RUN, PASS, StatusMatrix,
                       from_epoch_us, to_epoch_us)
 
@@ -47,54 +47,6 @@ def bounds_from_matrix(matrix: StatusMatrix) -> FeatureBounds:
         lastrun_earliest=from_epoch_us(stamps.min()) if len(stamps) else None,
         lastrun_latest=from_epoch_us(stamps.max()) if len(stamps) else None,
     )
-
-
-def normalize_duration(mean_duration_s: float, suite_min: float, suite_max: float) -> float:
-    """Min-max scale into [0,1]; a degenerate suite (min == max) maps to 0.5."""
-    if suite_min > suite_max:
-        raise ValueError(f"suite_min {suite_min} > suite_max {suite_max}")
-    if suite_min == suite_max:
-        return 0.5
-    x = (mean_duration_s - suite_min) / (suite_max - suite_min)
-    return float(min(1.0, max(0.0, x)))
-
-
-def encode_last_run(ts: datetime, suite_earliest: datetime, suite_latest: datetime) -> float:
-    """Fraction of the suite's time span elapsed at ``ts`` (day resolution
-    plus fractional days)."""
-    if not (suite_earliest <= ts <= suite_latest):
-        raise OutOfRange(ts, suite_earliest, suite_latest)
-    if suite_earliest == suite_latest:
-        return 0.5
-    span = (suite_latest - suite_earliest).total_seconds()
-    return (ts - suite_earliest).total_seconds() / span
-
-
-def _encode_last_run_clipped(ts: datetime | None, bounds: FeatureBounds) -> float:
-    # Prediction-time timestamps may fall outside the persisted training
-    # bounds; clip instead of failing. Never-executed tests map to 0.
-    if ts is None or bounds.lastrun_earliest is None or bounds.lastrun_latest is None:
-        return 0.0
-    if bounds.lastrun_earliest == bounds.lastrun_latest:
-        return 0.5
-    span = (bounds.lastrun_latest - bounds.lastrun_earliest).total_seconds()
-    x = (ts - bounds.lastrun_earliest).total_seconds() / span
-    return float(min(1.0, max(0.0, x)))
-
-
-def distance(window: Sequence[int]) -> int:
-    """Absolute swing between the oldest and newest raw status code."""
-    if len(window) == 0:
-        raise ValueError("window must be non-empty")
-    return abs(int(window[-1]) - int(window[0]))
-
-
-def change_in_status(window: Sequence[int]) -> int:
-    """Count pass-to-fail flips between consecutive *executed* cycles."""
-    if len(window) == 0:
-        raise ValueError("window must be non-empty")
-    executed = [int(s) for s in window if s != NOT_RUN]
-    return sum(1 for a, b in zip(executed, executed[1:]) if a == PASS and b == FAIL)
 
 
 class FeatureSet:
@@ -148,9 +100,13 @@ def stack(data: FeatureSet) -> tuple[np.ndarray, np.ndarray | None, list]:
 
 def feature_matrix(matrix: StatusMatrix, bounds: FeatureBounds | None = None,
                    expected_window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """The (n, window + 4) input matrix of a status matrix: per row the
-    window, then what normalize_duration, _encode_last_run_clipped,
-    distance and change_in_status give for it."""
+    """The (n, window + 4) input matrix of a status matrix. Per row: the
+    window's statuses; mean duration min-max scaled by the bounds and
+    clipped into [0, 1] (0.5 when the bounds are equal); last run as the
+    elapsed share of the bounds' span, clipped into [0, 1] (0.5 for an empty
+    span, 0 for a test that never ran or without stamp bounds); the swing
+    ``|newest - oldest|`` of the raw window; and the count of pass-to-fail
+    flips between consecutive executed cycles, skipping -1 slots."""
     if matrix.window_len != expected_window:
         raise WindowLenMismatch(matrix.window_len, expected_window)
     if bounds is None:

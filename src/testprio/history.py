@@ -5,8 +5,10 @@ in one CI cycle; a test that did not run in a cycle simply has no row
 there. The log is held as columns: each ``CycleLog`` keeps its rows' test
 ids, names, verdicts, durations, last-run timestamps and optional
 priorities side by side, in file order, with last-run stamps as int64
-epoch microseconds. ``ExecutionRecord`` objects, with datetimes, are built
-only for callers that read ``CycleLog.records`` or construct a cycle from records.
+epoch microseconds. Every path that makes a cycle, ingest, the simulator
+and tests alike, hands ``CycleLog`` its columns. ``ExecutionRecord``
+objects, with datetimes, are built only for callers that read
+``CycleLog.records``.
 
 ``ingest_csv`` reads the log with numpy's C CSV parser (``np.loadtxt``) in
 blocks of whole rows, straight into whole-log columns, and checks them in
@@ -28,10 +30,10 @@ import csv
 import io
 import math
 import sys
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,42 +81,34 @@ def from_epoch_us(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
-class Verdict(Enum):
-    PASSED = 0
-    FAILED = 1
-
-
 @dataclass(frozen=True)
 class ExecutionRecord:
-    """One execution of one test in one CI cycle."""
+    """One execution of one test in one CI cycle, as ``CycleLog.records``
+    builds it from the columns. The library never reads that view;
+    bench/worker.py and bench/tracing.py read rows through it."""
 
     test_id: int
     test_name: str
     duration_s: float
     last_run: datetime
-    verdict: Verdict
+    failed: bool
     cycle_id: int
     prio: float | None = None
 
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
-        if self.cycle_id < 1:
-            raise ValueError(f"cycle_id must be >= 1, got {self.cycle_id}")
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict is Verdict.FAILED
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CycleLog:
     """All executions of a single CI cycle, in stable input order, as columns.
 
-    ``test_ids``, ``names`` and ``prio`` (float or None) are tuples; ``failed``
-    (bool), ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds)
-    are read-only arrays. ``CycleLog(cycle_id, records)`` validates and splits
-    records into columns; ``records`` builds them back when read.
+    ``test_ids``, ``names`` and ``prio`` (float or None; None on every row
+    when omitted) are stored as tuples; ``failed`` (bool), ``duration_s``
+    (float64) and ``last_run`` (int64 epoch microseconds) as read-only
+    arrays. An array of the right dtype is kept without a copy and made
+    read-only. Construction checks, with array operations, that
+    ``cycle_id`` is at least 1, that the columns are of one length, that
+    durations are finite and at least 0 and that no test id repeats.
+    ``records`` is a read-only view that builds one ExecutionRecord per row
+    when read, for bench/.
     """
 
     cycle_id: int
@@ -123,45 +117,35 @@ class CycleLog:
     failed: np.ndarray
     duration_s: np.ndarray
     last_run: np.ndarray
-    prio: tuple
+    prio: tuple | None = None
 
-    def __init__(self, cycle_id: int, records: Iterable[ExecutionRecord]):
-        records = tuple(records)
-        seen = set()
-        for rec in records:
-            if rec.cycle_id != cycle_id:
-                raise ValueError(
-                    f"record for test {rec.test_id} belongs to cycle {rec.cycle_id}, "
-                    f"not {cycle_id}"
-                )
-            if rec.test_id in seen:
-                raise DuplicateExecution(rec.test_id, cycle_id)
-            seen.add(rec.test_id)
-        self._set_columns(
-            cycle_id,
-            tuple(r.test_id for r in records),
-            tuple(r.test_name for r in records),
-            [r.failed for r in records],
-            [r.duration_s for r in records],
-            [to_epoch_us(r.last_run) for r in records],
-            tuple(r.prio for r in records),
-        )
-
-    @classmethod
-    def _from_columns(cls, *columns) -> "CycleLog":
-        """A cycle from columns ingest_csv has already validated."""
-        log = cls.__new__(cls)
-        log._set_columns(*columns)
-        return log
-
-    def _set_columns(self, cycle_id, test_ids, names, failed, duration_s, last_run, prio):
-        failed = np.asarray(failed, dtype=bool)
-        duration_s = np.asarray(duration_s, dtype=np.float64)
-        last_run = np.asarray(last_run, dtype=np.int64)
-        failed.flags.writeable = duration_s.flags.writeable = last_run.flags.writeable = False
-        values = (cycle_id, test_ids, names, failed, duration_s, last_run, prio)
-        for name, value in zip(self.__dataclass_fields__, values):
+    def __post_init__(self):
+        n = len(self.test_ids)
+        columns = {
+            "test_ids": tuple(self.test_ids),
+            "names": tuple(self.names),
+            "failed": np.asarray(self.failed, dtype=bool),
+            "duration_s": np.asarray(self.duration_s, dtype=np.float64),
+            "last_run": np.asarray(self.last_run, dtype=np.int64),
+            "prio": (None,) * n if self.prio is None else tuple(self.prio),
+        }
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
+        if self.cycle_id < 1:
+            raise ValueError(f"cycle_id must be >= 1, got {self.cycle_id}")
+        shapes = {name: value.shape if isinstance(value, np.ndarray) else (len(value),)
+                  for name, value in columns.items()}
+        if set(shapes.values()) != {(n,)}:
+            raise ValueError(f"cycle {self.cycle_id}: columns differ in shape: {shapes}")
+        duration = self.duration_s
+        if not (np.isfinite(duration) & (duration >= 0)).all():
+            raise ValueError(f"cycle {self.cycle_id}: durations must be finite and >= 0")
+        if len(set(self.test_ids)) < n:
+            counts = Counter(self.test_ids)
+            raise DuplicateExecution(next(t for t in self.test_ids if counts[t] > 1),
+                                     self.cycle_id)
 
     @property
     def records(self) -> "_Records":
@@ -173,7 +157,7 @@ class CycleLog:
             test_name=self.names[i],
             duration_s=float(self.duration_s[i]),
             last_run=from_epoch_us(self.last_run[i]),
-            verdict=Verdict.FAILED if self.failed[i] else Verdict.PASSED,
+            failed=bool(self.failed[i]),
             cycle_id=self.cycle_id,
             prio=self.prio[i],
         )
@@ -272,7 +256,7 @@ def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> lis
         has_prio = schema.prio is not None and schema.prio in header
         try:
             cycles = _ingest_columns(fh, _line_ends(path) + 1, header, schema, has_prio)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, DuplicateExecution):
             cycles = None
         if cycles is None:
             fh.seek(0)
@@ -338,8 +322,9 @@ def _block_stamps(texts: np.ndarray, offsets: set) -> np.ndarray | list[int]:
 def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
                     has_prio: bool) -> list[CycleLog] | None:
     """The bulk path of ingest_csv over the rest of ``fh``, which holds at most
-    ``capacity`` rows. Returns None, or raises ValueError or OverflowError,
-    when some row is not valid or may be read differently by csv."""
+    ``capacity`` rows. Returns None, or raises ValueError, OverflowError or
+    DuplicateExecution, when some row is not valid or may be read differently
+    by csv."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
     fields = [*schema.required(), schema.prio] if has_prio else list(schema.required())
@@ -375,9 +360,7 @@ def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
         n = block.stop
     if not n:
         return []
-    ids, cycle, duration, stamps = ids[:n], cycle[:n], duration[:n], stamps[:n]
-    if not np.isfinite(duration).all() or (duration < 0).any() or (cycle < 1).any():
-        return None
+    ids, cycle = ids[:n], cycle[:n]
     distinct_ids, id_at = np.unique(ids, return_inverse=True)
     shared_ids = np.array(distinct_ids.tolist(), dtype=object)
 
@@ -387,17 +370,18 @@ def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
         rows_at = order[lo:hi]
-        test_ids = tuple(shared_ids[id_at[rows_at]].tolist())
-        if len(set(test_ids)) < len(test_ids):
-            return None  # a duplicate (id, cycle)
-        out.append(CycleLog._from_columns(
+        # CycleLog checks the cycle id, durations and repeated ids. Each list
+        # is turned into a tuple and freed before the next is built: lists
+        # held across the call raised peak RSS by 2 MiB over repeated ingests
+        # of a 255k-row log.
+        out.append(CycleLog(
             int(cycle[lo]),
-            test_ids,
+            tuple(shared_ids[id_at[rows_at]].tolist()),
             tuple(names[rows_at].tolist()),
             failed[rows_at],
             duration[rows_at],
             stamps[rows_at],
-            tuple(prios[rows_at].tolist()) if has_prio else (None,) * len(test_ids),
+            tuple(prios[rows_at].tolist()) if has_prio else None,
         ))
     return out
 
@@ -405,24 +389,28 @@ def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
 def _ingest_rows(reader: csv.DictReader, schema: ColumnMapping,
                  has_prio: bool) -> list[CycleLog]:
     """ingest_csv one row at a time: raises the first bad row's error."""
-    by_cycle: dict[int, list[ExecutionRecord]] = {}
+    by_cycle: dict[int, list[tuple]] = {}  # cycle id -> its rows' column values
     seen: set[tuple[int, int]] = set()
     first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
     for rownum, row in enumerate(reader, start=2):
-        rec = _parse_row(row, rownum, schema, has_prio)
-        first_of_kind.setdefault(rec.last_run.utcoffset() is not None, rownum)
+        cycle_id, last_run, values = _parse_row(row, rownum, schema, has_prio)
+        first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
         if len(first_of_kind) == 2:
             raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
                                        f"{min(first_of_kind.values())}'s in having a UTC offset")
-        key = (rec.test_id, rec.cycle_id)
+        key = (values[0], cycle_id)
         if key in seen:
-            raise DuplicateExecution(rec.test_id, rec.cycle_id)
+            raise DuplicateExecution(*key)
         seen.add(key)
-        by_cycle.setdefault(rec.cycle_id, []).append(rec)
-    return [CycleLog(cid, by_cycle[cid]) for cid in sorted(by_cycle)]
+        by_cycle.setdefault(cycle_id, []).append(values)
+    return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
 
 
-def _parse_row(row: dict, rownum: int, schema: ColumnMapping, has_prio: bool) -> ExecutionRecord:
+def _parse_row(row: dict, rownum: int, schema: ColumnMapping,
+               has_prio: bool) -> tuple[int, datetime, tuple]:
+    """A valid row's cycle id, parsed LastRun and values in CycleLog column
+    order (id, name, failed, duration, epoch microseconds, priority); raises
+    the row's error otherwise."""
     try:
         test_id = int(row[schema.id])
     except (TypeError, ValueError):
@@ -457,15 +445,8 @@ def _parse_row(row: dict, rownum: int, schema: ColumnMapping, has_prio: bool) ->
                 prio = float(raw)
             except ValueError:
                 raise MalformedRow(rownum, f"bad priority {raw!r}") from None
-    return ExecutionRecord(
-        test_id=test_id,
-        test_name=row[schema.name],
-        duration_s=duration,
-        last_run=last_run,
-        verdict=Verdict.FAILED if verdict_raw == "1" else Verdict.PASSED,
-        cycle_id=cycle_id,
-        prio=prio,
-    )
+    values = (test_id, row[schema.name], verdict_raw == "1", duration, to_epoch_us(last_run), prio)
+    return cycle_id, last_run, values
 
 
 def emit_csv(cycles: Iterable[CycleLog], path: str | Path,

@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .history import CycleLog, ExecutionRecord, Verdict
+from .history import CycleLog, to_epoch_us
 
 
 @dataclass(frozen=True)
@@ -75,35 +75,41 @@ def generate_history(profile: SuiteProfile, seed: int = 0) -> list[CycleLog]:
         fail_prob = np.clip(propensity + np.where(broken, profile.burst_fail, 0.0), 0.0, 0.95)
         failing = executed & (rng.uniform(size=n) < fail_prob)
         durations = base_duration * rng.uniform(0.8, 1.2, size=n)
-        day = profile.start + timedelta(days=c - 1)
+        day_us = to_epoch_us(profile.start + timedelta(days=c - 1))
 
-        records = []
-        for i in np.flatnonzero(executed):
-            records.append(
-                ExecutionRecord(
-                    test_id=int(i + 1),
-                    test_name=f"T{i + 1}",
-                    duration_s=round(float(durations[i]), 3),
-                    last_run=day + timedelta(seconds=int(i) * 7),
-                    verdict=Verdict.FAILED if failing[i] else Verdict.PASSED,
-                    cycle_id=c,
-                )
-            )
-        cycles.append(CycleLog(c, tuple(records)))
+        ran = np.flatnonzero(executed)
+        test_ids = (ran + 1).tolist()
+        cycles.append(CycleLog(
+            c,
+            test_ids,
+            [f"T{i}" for i in test_ids],
+            failing[ran],
+            [round(d, 3) for d in durations[ran].tolist()],
+            day_us + ran * 7_000_000,  # 7 s apart by 0-based test index
+        ))
     return cycles
 
 
 def sample_rows(cycles: list[CycleLog], fraction: float, seed: int = 0) -> list[CycleLog]:
-    """Keep each record with probability ``fraction``; cycles left empty are
+    """Keep each row with probability ``fraction``; cycles left empty are
     dropped. Mimics working from a row-sampled slice of a huge log."""
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     out = []
     for cycle in cycles:
-        kept = tuple(rec for rec in cycle.records if rng.uniform() < fraction)
-        if kept:
-            out.append(CycleLog(cycle.cycle_id, kept))
+        kept = np.flatnonzero(rng.uniform(size=len(cycle.test_ids)) < fraction)
+        if len(kept):
+            pick = kept.tolist()
+            out.append(CycleLog(
+                cycle.cycle_id,
+                [cycle.test_ids[i] for i in pick],
+                [cycle.names[i] for i in pick],
+                cycle.failed[kept],
+                cycle.duration_s[kept],
+                cycle.last_run[kept],
+                [cycle.prio[i] for i in pick],
+            ))
     return out
 
 

@@ -4,31 +4,23 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from testprio.history import CycleLog, ExecutionRecord, Verdict
+from testprio.history import CycleLog, to_epoch_us
 
 BASE_DAY = datetime(2016, 1, 1)
 
 
-def rec(test_id, cycle, failed=False, duration=1.0, day=None, prio=None):
-    when = day if day is not None else BASE_DAY + timedelta(days=cycle - 1)
-    return ExecutionRecord(
-        test_id=test_id,
-        test_name=f"T{test_id}",
-        duration_s=duration,
-        last_run=when,
-        verdict=Verdict.FAILED if failed else Verdict.PASSED,
-        cycle_id=cycle,
-    )
+def day_us(cycle):
+    """The last-run stamp of a row of ``cycles_from``: its cycle's day."""
+    return to_epoch_us(BASE_DAY + timedelta(days=cycle - 1))
 
 
 def cycles_from(rows):
-    """Build sorted CycleLogs from (test_id, cycle, failed, duration) tuples."""
+    """Build sorted CycleLogs from (test_id, cycle, failed[, duration]) tuples."""
     by_cycle = {}
-    for row in rows:
-        test_id, cycle, failed = row[0], row[1], row[2]
-        duration = row[3] if len(row) > 3 else 1.0
-        by_cycle.setdefault(cycle, []).append(rec(test_id, cycle, failed, duration))
-    return [CycleLog(c, tuple(by_cycle[c])) for c in sorted(by_cycle)]
+    for test_id, cycle, failed, *duration in rows:
+        by_cycle.setdefault(cycle, []).append(
+            (test_id, f"T{test_id}", failed, *(duration or [1.0]), day_us(cycle)))
+    return [CycleLog(c, *zip(*by_cycle[c])) for c in sorted(by_cycle)]
 
 
 @pytest.fixture

@@ -165,10 +165,7 @@ def test_evaluate_ground_truth_missing_column(dataset, trained_model):
 def test_evaluate_ground_truth_present(tmp_path, capsys):
     from dataclasses import replace
     cycles = generate_history(SMALL, seed=9)
-    with_prio = [
-        type(c)(c.cycle_id, tuple(replace(r, prio=0.5) for r in c.records))
-        for c in cycles
-    ]
+    with_prio = [replace(c, prio=[0.5] * len(c.test_ids)) for c in cycles]
     path = tmp_path / "prio.csv"
     emit_csv(with_prio, path, ColumnMapping(prio="CalcPrio"))
     assert main(["evaluate", str(path), "--ground-truth"]) == 0

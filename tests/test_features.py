@@ -6,26 +6,74 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from testprio.errors import MalformedRow, OutOfRange, WindowLenMismatch
+from testprio.errors import MalformedRow, WindowLenMismatch
 from testprio.features import (
+    FeatureBounds,
     FeatureSet,
-    _encode_last_run_clipped,
     bounds_from_matrix,
-    change_in_status,
-    distance,
     dump_features_csv,
-    encode_last_run,
     extract,
     feature_matrix,
     load_features_csv,
-    normalize_duration,
     stack,
 )
-from testprio.history import NEVER_RAN, build_status_matrix, from_epoch_us
+from testprio.history import FAIL, NEVER_RAN, NOT_RUN, PASS, build_status_matrix, from_epoch_us
 from testprio.rocket import label_dataset, linear_weights
 
 from conftest import cycles_from
 from test_history import random_cycles
+
+
+# --- scalar references: one test's derived features, which feature_matrix
+# computes for all rows at once ---------------------------------------------
+
+
+def normalize_duration(mean_duration_s: float, suite_min: float, suite_max: float) -> float:
+    """Min-max scale into [0,1]; a degenerate suite (min == max) maps to 0.5."""
+    if suite_min > suite_max:
+        raise ValueError(f"suite_min {suite_min} > suite_max {suite_max}")
+    if suite_min == suite_max:
+        return 0.5
+    x = (mean_duration_s - suite_min) / (suite_max - suite_min)
+    return float(min(1.0, max(0.0, x)))
+
+
+def encode_last_run(ts: datetime, suite_earliest: datetime, suite_latest: datetime) -> float:
+    """Fraction of the suite's time span elapsed at ``ts`` (day resolution
+    plus fractional days)."""
+    if not (suite_earliest <= ts <= suite_latest):
+        raise ValueError(f"value {ts} outside [{suite_earliest}, {suite_latest}]")
+    if suite_earliest == suite_latest:
+        return 0.5
+    span = (suite_latest - suite_earliest).total_seconds()
+    return (ts - suite_earliest).total_seconds() / span
+
+
+def encode_last_run_clipped(ts: datetime | None, bounds: FeatureBounds) -> float:
+    # Prediction-time timestamps may fall outside the persisted training
+    # bounds; clip instead of failing. Never-executed tests map to 0.
+    if ts is None or bounds.lastrun_earliest is None or bounds.lastrun_latest is None:
+        return 0.0
+    if bounds.lastrun_earliest == bounds.lastrun_latest:
+        return 0.5
+    span = (bounds.lastrun_latest - bounds.lastrun_earliest).total_seconds()
+    x = (ts - bounds.lastrun_earliest).total_seconds() / span
+    return float(min(1.0, max(0.0, x)))
+
+
+def distance(window) -> int:
+    """Absolute swing between the oldest and newest raw status code."""
+    if len(window) == 0:
+        raise ValueError("window must be non-empty")
+    return abs(int(window[-1]) - int(window[0]))
+
+
+def change_in_status(window) -> int:
+    """Count pass-to-fail flips between consecutive *executed* cycles."""
+    if len(window) == 0:
+        raise ValueError("window must be non-empty")
+    executed = [int(s) for s in window if s != NOT_RUN]
+    return sum(1 for a, b in zip(executed, executed[1:]) if a == PASS and b == FAIL)
 
 
 class TestNormalizeDuration:
@@ -55,7 +103,7 @@ class TestEncodeLastRun:
 
     def test_out_of_range(self):
         lo, hi = datetime(2016, 1, 1), datetime(2016, 1, 11)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="outside"):
             encode_last_run(hi + timedelta(seconds=1), lo, hi)
 
     def test_degenerate_span(self):
@@ -155,8 +203,8 @@ class TestExtract:
                 expected = np.array([
                     [*window,
                      normalize_duration(dur, bounds.duration_min, bounds.duration_max),
-                     _encode_last_run_clipped(None if us == NEVER_RAN else from_epoch_us(us),
-                                              bounds),
+                     encode_last_run_clipped(None if us == NEVER_RAN else from_epoch_us(us),
+                                             bounds),
                      distance(window),
                      change_in_status(window)]
                     for window, dur, us in zip(matrix.statuses.tolist(),

@@ -24,9 +24,7 @@ from testprio.history import (
     NEVER_RAN,
     ColumnMapping,
     CycleLog,
-    ExecutionRecord,
     StatusMatrix,
-    Verdict,
     _parse_row,
     _parse_stamps,
     build_status_matrix,
@@ -37,7 +35,7 @@ from testprio.history import (
 
 from testprio.features import feature_matrix
 
-from conftest import cycles_from, rec
+from conftest import cycles_from, day_us
 
 HEADER = "Id,Name,Duration,LastRun,Verdict,Cycle\n"
 
@@ -55,7 +53,7 @@ class TestIngest:
         record = cycles[0].records[0]
         assert record.test_id == 1
         assert record.duration_s == 5.0
-        assert record.verdict is Verdict.FAILED
+        assert record.failed is True
         assert record.cycle_id == 3
         assert record.last_run == datetime(2016, 1, 2)
 
@@ -65,6 +63,10 @@ class TestIngest:
     def test_duplicate_execution_rejected(self, tmp_path):
         body = "1,T1,1.0,2016-01-02,0,3\n1,T1,2.0,2016-01-02,1,3\n"
         with pytest.raises(DuplicateExecution):
+            ingest_csv(write(tmp_path, body))
+        # The first repeat in file order is named, not the first in cycle order.
+        body = "2,T2,1.0,2016-01-02,0,5\n2,T2,1.0,2016-01-02,0,5\n" + body
+        with pytest.raises(DuplicateExecution, match="test 2 appears more than once in cycle 5"):
             ingest_csv(write(tmp_path, body))
 
     @pytest.mark.parametrize("missing", ["Id", "Name", "Duration", "LastRun", "Verdict", "Cycle"])
@@ -140,17 +142,17 @@ def dictreader_ingest(path, schema):
         has_prio = schema.prio is not None and schema.prio in header
         by_cycle, seen, first_of_kind = {}, set(), {}
         for rownum, row in enumerate(reader, start=2):
-            record = _parse_row(row, rownum, schema, has_prio)
-            first_of_kind.setdefault(record.last_run.utcoffset() is not None, rownum)
+            cycle_id, last_run, values = _parse_row(row, rownum, schema, has_prio)
+            first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
             if len(first_of_kind) == 2:
                 raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
                                            f"{min(first_of_kind.values())}'s in having a UTC offset")
-            key = (record.test_id, record.cycle_id)
+            key = (values[0], cycle_id)
             if key in seen:
-                raise DuplicateExecution(record.test_id, record.cycle_id)
+                raise DuplicateExecution(*key)
             seen.add(key)
-            by_cycle.setdefault(record.cycle_id, []).append(record)
-    return [CycleLog(cid, tuple(by_cycle[cid])) for cid in sorted(by_cycle)]
+            by_cycle.setdefault(cycle_id, []).append(values)
+    return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
 
 
 FAULTS = {
@@ -358,20 +360,16 @@ def test_a_field_longer_than_csvs_limit_raises_csvs_error(tmp_path):
 def random_cycles(rng: random.Random, with_prio=False):
     cycles = []
     for cycle_id in sorted(rng.sample(range(1, 30), rng.randint(1, 8))):
-        records = []
+        rows = []
         for test_id in rng.sample(range(1, 15), rng.randint(1, 6)):
-            records.append(ExecutionRecord(
-                test_id=test_id,
-                test_name=f"T{test_id}",
-                duration_s=round(rng.uniform(0, 50), 6),
-                last_run=datetime(2016, 1, 1) + timedelta(
-                    days=cycle_id, seconds=rng.randint(0, 86399),
-                    microseconds=rng.choice([0, rng.randint(0, 999999)])),
-                verdict=rng.choice([Verdict.PASSED, Verdict.FAILED]),
-                cycle_id=cycle_id,
-                prio=round(rng.uniform(0, 1), 6) if with_prio and rng.random() < 0.8 else None,
-            ))
-        cycles.append(CycleLog(cycle_id, tuple(records)))
+            duration = round(rng.uniform(0, 50), 6)
+            last_run = datetime(2016, 1, 1) + timedelta(
+                days=cycle_id, seconds=rng.randint(0, 86399),
+                microseconds=rng.choice([0, rng.randint(0, 999999)]))
+            failed = rng.choice([False, True])
+            prio = round(rng.uniform(0, 1), 6) if with_prio and rng.random() < 0.8 else None
+            rows.append((test_id, f"T{test_id}", failed, duration, to_epoch_us(last_run), prio))
+        cycles.append(CycleLog(cycle_id, *zip(*rows)))
     return cycles
 
 
@@ -387,20 +385,38 @@ def test_emit_ingest_round_trip(tmp_path, with_prio):
         assert ingest_csv(path, schema) == cycles
 
 
+# Columns of a valid two-row cycle, in CycleLog's argument order after cycle_id.
+TWO_ROWS = dict(test_ids=(1, 2), names=("T1", "T2"), failed=[False, True],
+                duration_s=[1.0, 0.5], last_run=[day_us(1), day_us(1) + 7])
+
+
 class TestCycleLog:
-    def test_rejects_foreign_cycle_id(self):
-        with pytest.raises(ValueError):
-            CycleLog(2, (rec(1, 1),))
+    def test_columns_are_stored_as_tuples_and_read_only_arrays(self):
+        log = CycleLog(3, [5, 4], ["a", "b"], [1, 0], [2, 3], [10, 20], prio=[0.5, None])
+        assert (log.test_ids, log.names, log.prio) == ((5, 4), ("a", "b"), (0.5, None))
+        assert [log.failed.dtype, log.duration_s.dtype, log.last_run.dtype] == [
+            np.bool_, np.float64, np.int64]
+        for column in (log.failed, log.duration_s, log.last_run):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert CycleLog(1, **TWO_ROWS).prio == (None, None)
 
-    def test_rejects_duplicate_test(self):
-        with pytest.raises(DuplicateExecution):
-            CycleLog(1, (rec(1, 1), rec(1, 1, failed=True)))
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            rec(1, 1, duration=-1.0)
-        with pytest.raises(ValueError):
-            rec(1, 0)
+    @pytest.mark.parametrize("cycle_id,change,error,message", [
+        (1, dict(test_ids=(2, 2)), DuplicateExecution, "test 2 appears more than once in cycle 1"),
+        (1, dict(names=("T1",)), ValueError, "columns differ in shape"),
+        (1, dict(failed=[False, True, True]), ValueError, "columns differ in shape"),
+        (1, dict(last_run=[[1, 2]]), ValueError, "columns differ in shape"),
+        (1, dict(prio=(0.5,)), ValueError, "columns differ in shape"),
+        (1, dict(duration_s=[1.0, -0.5]), ValueError, "durations must be finite and >= 0"),
+        (1, dict(duration_s=[np.nan, 1.0]), ValueError, "durations must be finite and >= 0"),
+        (1, dict(duration_s=[1.0, np.inf]), ValueError, "durations must be finite and >= 0"),
+        (0, {}, ValueError, "cycle_id must be >= 1, got 0"),
+        (-3, {}, ValueError, "cycle_id must be >= 1, got -3"),
+    ], ids=["duplicate id", "short names", "long failed", "2-d last_run", "short prio",
+            "negative duration", "nan duration", "inf duration", "cycle 0", "cycle -3"])
+    def test_rejects_invalid_columns(self, cycle_id, change, error, message):
+        with pytest.raises(error, match=message):
+            CycleLog(cycle_id, **{**TWO_ROWS, **change})
 
 
 class TestStatusMatrix:
@@ -431,7 +447,7 @@ class TestStatusMatrix:
     def test_last_run_is_most_recent(self, tiny_history):
         matrix = build_status_matrix(tiny_history, window_len=10)
         i = matrix.test_ids.index(1)
-        assert matrix.last_run[i] == to_epoch_us(rec(1, 5).last_run)
+        assert matrix.last_run[i] == day_us(5)
 
     def test_empty_history(self, tiny_history):
         with pytest.raises(EmptyHistory):

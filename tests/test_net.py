@@ -41,6 +41,10 @@ from datetime import datetime
 
 from test_history import random_cycles
 
+# Tests that span several forward blocks allocate 2 * FORWARD_BLOCK_ROWS rows
+# and more; past this bound they fail before allocating anything.
+MAX_BLOCK_ROWS = 1 << 14
+
 
 def plain_tanh_softplus(x):
     """tanh(softplus(x)) = n / (n + 2) with e = exp(x), n = e * (e + 2)."""
@@ -227,6 +231,7 @@ class TestForward:
 
     def test_predict_equals_forward_across_a_partial_block(self):
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(5))
+        assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
         X = np.random.default_rng(6).normal(scale=3.0, size=(2 * FORWARD_BLOCK_ROWS + 77, 14))
         assert np.array_equal(predict(net, X), forward(net, X)[0])
 
@@ -666,6 +671,7 @@ class TestBitIdentity:
         """The epoch-top loss of mini-batch mode runs block by block; it must
         equal the loss of one plain full-set forward pass."""
         rng = np.random.default_rng(47)
+        assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
         n = 2 * FORWARD_BLOCK_ROWS + 123
         X = rng.uniform(-1, 1, (n, 14))
         y = rng.uniform(size=n)

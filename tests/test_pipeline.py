@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import replace
 from datetime import datetime
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from testprio.errors import (
 )
 from testprio.history import (
     NEVER_RAN,
-    CycleLog,
     ExecutionRecord,
-    Verdict,
     build_status_matrix,
     emit_csv,
     ingest_csv,
@@ -42,7 +41,7 @@ from testprio.pipeline import (
     train_model,
     training_vectors,
 )
-from testprio import pipeline
+from testprio import history, pipeline
 from testprio.prioritize import PrioritizedSuite
 from testprio.rocket import label_dataset, linear_weights, priorities
 from testprio import simulate
@@ -78,14 +77,14 @@ def tiny_result(tiny_cycles):
 
 def per_record_status_matrix(cycles, window_len, as_of_cycle, include_tests):
     """build_status_matrix as it was before it became a ReplayState snapshot:
-    one pass over every record, written out as the reference."""
-    history = [c for c in cycles if c.cycle_id <= as_of_cycle]
+    one pass over every row, written out as the reference."""
+    past = [c for c in cycles if c.cycle_id <= as_of_cycle]
     order, index = [], {}
-    for cycle in history:
-        for rec in cycle.records:
-            if rec.test_id not in index:
-                index[rec.test_id] = len(order)
-                order.append(rec.test_id)
+    for cycle in past:
+        for test_id in cycle.test_ids:
+            if test_id not in index:
+                index[test_id] = len(order)
+                order.append(test_id)
     for tid in include_tests:
         if tid not in index:
             index[tid] = len(order)
@@ -95,19 +94,20 @@ def per_record_status_matrix(cycles, window_len, as_of_cycle, include_tests):
     dur_sum, dur_count = np.zeros(n), np.zeros(n)
     last_run = [None] * n
     window_lo = as_of_cycle - window_len + 1
-    for cycle in history:
+    for cycle in past:
         slot = cycle.cycle_id - window_lo
-        for rec in cycle.records:
-            i = index[rec.test_id]
+        for test_id, failed, duration, stamp in zip(cycle.test_ids, cycle.failed.tolist(),
+                                                    cycle.duration_s.tolist(),
+                                                    cycle.last_run.tolist()):
+            i = index[test_id]
             if slot >= 0:
-                statuses[i, slot] = 1 if rec.failed else 0
-            dur_sum[i] += rec.duration_s
+                statuses[i, slot] = 1 if failed else 0
+            dur_sum[i] += duration
             dur_count[i] += 1
-            if last_run[i] is None or rec.last_run > last_run[i]:
-                last_run[i] = rec.last_run
+            if last_run[i] is None or stamp > last_run[i]:
+                last_run[i] = stamp
     mean = np.divide(dur_sum, dur_count, out=np.zeros(n), where=dur_count > 0)
-    last_run = np.array([NEVER_RAN if ts is None else to_epoch_us(ts) for ts in last_run],
-                        dtype=np.int64)
+    last_run = np.array([NEVER_RAN if us is None else us for us in last_run], dtype=np.int64)
     return tuple(order), statuses, mean, last_run
 
 
@@ -119,10 +119,10 @@ class TestReplayState:
         for trial in range(40):
             cycles = random_cycles(rng)
             if trial % 2:  # last-run stamps out of cycle order, with ties
-                cycles = [CycleLog(c.cycle_id, [
-                    replace(r, last_run=datetime(2016, 1, rng.randint(1, 4)))
-                    for r in c.records]) for c in cycles]
-            ids = sorted({r.test_id for c in cycles for r in c.records})
+                cycles = [replace(c, last_run=[
+                    to_epoch_us(datetime(2016, 1, rng.randint(1, 4))) for _ in c.test_ids])
+                    for c in cycles]
+            ids = sorted({t for c in cycles for t in c.test_ids})
             extra = ids + [99, 98]
             window = rng.randint(1, 8)
             as_of = rng.choice([c.cycle_id for c in cycles]) + rng.choice([0, 0, 3])
@@ -164,22 +164,48 @@ def test_training_vectors_are_each_cycles_labeled_rows_in_order():
                               np.concatenate([labeled.labels for labeled in per_cycle]))
 
 
-def test_ingest_and_replay_build_no_execution_records(tmp_path, monkeypatch):
+@pytest.fixture
+def records_built(monkeypatch):
+    """The test ids of the ExecutionRecords built while a test runs."""
+    built = []
+    init = ExecutionRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.test_id)
+
+    monkeypatch.setattr(ExecutionRecord, "__init__", counting)
+    return built
+
+
+def test_ingest_and_replay_build_no_execution_records(tmp_path, records_built):
     """The columnar history path never materializes per-row records."""
     path = tmp_path / "log.csv"
     emit_csv(generate_history(TINY, seed=3), path)
-    built = []
-    post_init = ExecutionRecord.__post_init__
-
-    def counting(self):
-        built.append(self.test_id)
-        post_init(self)
-
-    monkeypatch.setattr(ExecutionRecord, "__post_init__", counting)
     cycles = ingest_csv(path)
     result = run_pipeline(tiny_plan(cycles))
     assert result.per_cycle
-    assert built == []
+    assert records_built == []
+
+
+def test_simulating_sampling_and_the_row_walk_build_no_execution_records(
+        tmp_path, monkeypatch, records_built):
+    """Nor do the simulator and the row-by-row ingest walk."""
+    cycles = generate_history(TINY, seed=3)
+    assert records_built == [], "generate_history"
+    assert simulate.sample_rows(cycles, 0.5, seed=1)
+    assert records_built == [], "sample_rows"
+    path = tmp_path / "log.csv"
+    emit_csv(cycles, path)
+    # csv reads a '"' inside an unquoted field as a plain character; the
+    # bulk reader leaves such a log to the row walk.
+    path.write_text(path.read_text().replace(",T1,", ',T"1,'), newline="")
+    monkeypatch.setattr(history, "_ingest_rows", Mock(wraps=history._ingest_rows))
+    walked = ingest_csv(path)
+    assert history._ingest_rows.call_count == 1
+    assert [n for c in walked for n in c.names] == [
+        'T"1' if n == "T1" else n for c in cycles for n in c.names]
+    assert records_built == [], "the row walk"
 
 
 class TestRunPipeline:
@@ -201,10 +227,8 @@ class TestRunPipeline:
 
     def test_replay_causality_under_future_poisoning(self, tiny_cycles, tiny_result):
         """Corrupting the final cycle cannot change earlier cycles' rows."""
-        poisoned = list(tiny_cycles[:-1])
         last = tiny_cycles[-1]
-        flipped = tuple(replace_verdict(rec) for rec in last.records)
-        poisoned.append(CycleLog(last.cycle_id, flipped))
+        poisoned = [*tiny_cycles[:-1], replace(last, failed=~last.failed)]
         other = run_pipeline(tiny_plan(poisoned))
         early = [r for r in tiny_result.per_cycle if r["cycle"] != last.cycle_id]
         early_poisoned = [r for r in other.per_cycle if r["cycle"] != last.cycle_id]
@@ -268,11 +292,6 @@ class TestRunPipeline:
         assert result.training is not None
 
 
-def replace_verdict(rec):
-    flipped = Verdict.PASSED if rec.failed else Verdict.FAILED
-    return replace(rec, verdict=flipped)
-
-
 class TestHistoryLengthStudy:
     def test_insufficient_history(self, tiny_cycles):
         with pytest.raises(InsufficientHistory):
@@ -296,13 +315,7 @@ class TestGroundTruthComparison:
         matrix = build_status_matrix(cycles, 10)
         prios = priorities(matrix.statuses, linear_weights(10))
         lookup = dict(zip(matrix.test_ids, prios.tolist()))
-        out = []
-        for cycle in cycles:
-            records = tuple(
-                replace(r, prio=lookup[r.test_id] + epsilon) for r in cycle.records
-            )
-            out.append(CycleLog(cycle.cycle_id, records))
-        return out
+        return [replace(c, prio=[lookup[t] + epsilon for t in c.test_ids]) for c in cycles]
 
     def test_exact_match_gives_zero_difference(self, tiny_cycles):
         with_prio = self.make_prio_cycles(tiny_cycles)
@@ -410,6 +423,21 @@ def test_untrained_strategy_rows_are_pinned(untrained_rows):
     rows, digest = untrained_rows
     text = json.dumps(rows, sort_keys=True, default=repr)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make_log,digest", [
+    (lambda: generate_history(simulate.PAINT_CONTROL_LIKE, 42),
+     "003c98b19e61287cf52d36f3f701ab87f3fbc790abb1359f1697fdd8067dd879"),
+    (lambda: generate_history(simulate.GSDTSR_LIKE, 5),
+     "03f9b52bf38fddd8df8cd5ca60c41c805fc9805fe98ff9d36d2f7cda08b3714b"),
+    (lambda: simulate.sample_rows(generate_history(simulate.GSDTSR_LIKE, 5), 0.1, seed=5),
+     "5544bc679b5077e264594023ef1a015c06bb12483d2ef385f0e5cdffe54c4910"),
+], ids=["paint-42", "gsdtsr-5", "gsdtsr-5-sampled"])
+def test_simulated_logs_are_pinned(tmp_path, make_log, digest):
+    """sha256 of the emitted CSV of three simulated logs. Like the per_cycle
+    digests above, a change that means to move them says why."""
+    emit_csv(make_log(), tmp_path / "log.csv")
+    assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest() == digest
 
 
 def test_no_replayed_row_runs_past_its_budget(untrained_rows):
