@@ -6,8 +6,9 @@ module under-samples the pass bin (optional) and over-samples the fail
 bin with synthetic cases: interpolation between a fail-bin seed and one
 of its nearest fail-bin neighbors when they are close ("safe zone"),
 Gaussian perturbation of the seed when the chosen neighbor is far.
-It works on the arrays of a FeatureSet, and its neighbor search holds
-O(KNN_BLOCK_ROWS x n_fail) values, never an n_fail x n_fail matrix.
+It works on the arrays of a FeatureSet. Neighbors are found only for the
+seeds the RNG draws, each ranked against the whole fail bin: O(n_fail)
+memory and O(seeds x n_fail) time, never an n_fail x n_fail matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .history import FAIL, NOT_RUN
 logger = logging.getLogger(__name__)
 
 _LABEL_EPS = 1e-12  # labels stay strictly inside (0, 1)
-KNN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -67,39 +67,21 @@ def fail_ratio(data: FeatureSet) -> float:
     return int(fail_mask(data.X).sum()) / len(data) if len(data) else 0.0
 
 
-def nearest_neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` nearest other rows of each row of ``X``, nearest first, and
-    their distances (norms of row differences); ties go to the lower index.
-    Needs ``1 <= k < len(X)``. Each block of rows takes its ``2k`` best
-    candidates by the Gram form ``|a|^2 + |b|^2 - 2ab`` and re-ranks them by
-    the exact norm; a row whose k-th exact distance comes within rounding of
-    a candidate left out is ranked against every row instead."""
-    n, m = len(X), min(len(X) - 1, 2 * k)
-    sq = np.einsum("ij,ij->i", X, X)
-    idx, dist = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    for start in range(0, n, KNN_BLOCK_ROWS):
-        rows = np.arange(start, min(start + KNN_BLOCK_ROWS, n))
-        gram = X[rows] @ X.T
-        gram *= -2.0
-        gram += sq[rows, None] + sq
-        gram[np.arange(len(rows)), rows] = np.inf  # never its own neighbor
-        cand = np.sort(np.argpartition(gram, m - 1, axis=1)[:, :m], axis=1)
-        idx[rows], dist[rows] = _rank_candidates(X, rows, cand, k)
-        if m < n - 1:  # else every other row was a candidate
-            left_out = np.take_along_axis(gram, cand, axis=1).max(axis=1)  # a lower bound
-            unsure = dist[rows, -1] ** 2 >= left_out - 1e-9 * (sq[rows] + sq.max())
-            for i in rows[unsure]:
-                others = np.delete(np.arange(n), i)[None, :]
-                idx[i], dist[i] = _rank_candidates(X, np.array([i]), others, k)
+def nearest_neighbors(X: np.ndarray, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` nearest other rows of each requested row of ``X`` (default:
+    every row), nearest first, and their distances (norms of row
+    differences); ties go to the lower index. Needs ``1 <= k < len(X)``.
+    Each row is ranked against every row, so its answer does not depend on
+    which other rows were requested."""
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.intp)
+    idx, dist = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
+    for out, i in enumerate(rows.tolist()):
+        d = np.linalg.norm(X[i] - X, axis=1)
+        d[i] = np.inf  # never its own neighbor
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])  # ascending indices
+        near = near[np.argsort(d[near], kind="stable")[:k]]
+        idx[out], dist[out] = near, d[near]
     return idx, dist
-
-
-def _rank_candidates(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
-    """The ``k`` of each row's candidates (ascending indices, so the stable
-    sort breaks ties by index) nearest by the exact norm, and their norms."""
-    exact = np.linalg.norm(X[rows, None, :] - X[cand], axis=2)
-    order = np.argsort(exact, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(exact, order, axis=1)
 
 
 def _synthesize(seed: np.ndarray, neighbor: np.ndarray, u: np.ndarray,
@@ -126,10 +108,15 @@ def augment(data: FeatureSet, config: AugmentConfig) -> FeatureSet:
     drops only pass-bin vectors. Kept vectors come first, in input order,
     then the synthetic ones, each with its seed's test id. Deterministic
     for a fixed rng_seed. With fewer than two fail-bin vectors there is
-    nothing to interpolate, so the input comes back unchanged."""
+    nothing to interpolate, so the input comes back unchanged. Unlabeled
+    input, or a non-finite feature or label, raises ValueError."""
     X, labels, ids = data.X, data.labels, data.test_ids
     if labels is None:
         raise ValueError("augment requires labeled vectors")
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(labels)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"features and labels must be finite; row {bad} is not")
     failed = fail_mask(X)
     fail_rows, pass_rows = np.flatnonzero(failed), np.flatnonzero(~failed)
     n_fail, n_pass = len(fail_rows), len(pass_rows)
@@ -151,18 +138,22 @@ def augment(data: FeatureSet, config: AugmentConfig) -> FeatureSet:
         return kept
 
     k = min(config.k_neighbors, n_fail - 1)
-    knn, knn_dist = nearest_neighbors(X[fail_rows], k)
-    threshold = np.median(knn_dist, axis=1) / 2.0
-    rows = np.column_stack([X[fail_rows], labels[fail_rows]])
+    fail_X = X[fail_rows]  # contiguous: each ranking reads all of it
+    rows = np.column_stack([fail_X, labels[fail_rows]])
     w = X.shape[1] - DERIVED_FEATURES
     # C order: std's summation order, so its last bits, depends on the layout
     scale = config.noise_scale * np.ascontiguousarray(rows[:, [w, w + 1, -1]]).std(axis=0)
     seeds, neighbors = np.empty(needed, dtype=np.intp), np.empty(needed, dtype=np.intp)
     u, noise = np.full(needed, np.nan), np.zeros((needed, 3))
+    near = {}  # seed -> its neighbors, their distances and its safe-zone radius
     for r in range(needed):
         si, j = int(rng.integers(n_fail)), int(rng.integers(k))
-        seeds[r], neighbors[r] = si, knn[si, j]
-        if knn_dist[si, j] <= threshold[si]:
+        if si not in near:
+            (idx,), (dist,) = nearest_neighbors(fail_X, k, [si])
+            near[si] = idx, dist, np.median(dist) / 2.0
+        idx, dist, threshold = near[si]
+        seeds[r], neighbors[r] = si, idx[j]
+        if dist[j] <= threshold:
             u[r] = rng.uniform()
         else:
             noise[r] = rng.normal(0.0, scale)

@@ -216,9 +216,13 @@ def cmd_replay(args) -> int:
 
 
 def cmd_history_study(args) -> int:
-    windows = tuple(int(w) for w in args.windows.split(","))
-    if len(windows) != 2:
-        raise InputError(f"--windows takes two comma-separated lengths, got {args.windows!r}")
+    try:
+        windows = tuple(int(w) for w in args.windows.split(","))
+    except ValueError:
+        windows = ()
+    if len(windows) != 2 or min(windows) < 1:
+        raise InputError(f"--windows takes two comma-separated lengths >= 1, "
+                         f"got {args.windows!r}")
     plan = _plan(args, dataset=args.dataset)
     study = history_length_study(plan, windows)
     print(format_table(

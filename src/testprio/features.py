@@ -157,7 +157,8 @@ def dump_features_csv(data: FeatureSet, path: str | Path) -> None:
 
 def load_features_csv(path: str | Path) -> FeatureSet:
     """Read what dump_features_csv wrote. Priority is set on every row or
-    on none; a row that differs from the first is malformed."""
+    on none; a row that differs from the first is malformed, and so is a
+    non-finite feature or Priority."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -184,7 +185,11 @@ def load_features_csv(path: str | Path) -> FeatureSet:
             ids.append(_parse_id(row[0]))
     X = np.array(rows, dtype=np.float64).reshape(len(rows), w + DERIVED_FEATURES)
     labeled = bool(labels) and labels[0] is not None
-    return FeatureSet(X, ids, np.array(labels, dtype=np.float64) if labeled else None)
+    y = np.array(labels, dtype=np.float64) if labeled else None
+    finite = np.isfinite(X).all(axis=1) & (np.isfinite(y) if labeled else True)
+    if not finite.all():
+        raise MalformedRow(int(np.argmin(finite)) + 2, "features and Priority must be finite")
+    return FeatureSet(X, ids, y)
 
 
 def _parse_id(raw: str):

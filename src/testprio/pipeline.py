@@ -111,23 +111,26 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
     seed = overrides.get("seed")
     if seed is None:
         seed = get_int(cfg, "seed", 0)
-    aug = AugmentConfig(
-        k_neighbors=get_int(cfg, "augment.k_neighbors", 5),
-        target_fail_ratio=get_float(cfg, "augment.target_fail_ratio", 0.05),
-        noise_scale=get_float(cfg, "augment.noise_scale", 0.02),
-        pass_keep_fraction=get_float(cfg, "augment.pass_keep_fraction", 1.0),
-        rng_seed=get_int(cfg, "augment.rng_seed", seed),
-    )
-    tr = TrainConfig(
-        epochs_max=get_int(cfg, "train.epochs_max", 1000),
-        learning_rate=get_float(cfg, "train.learning_rate", 0.001),
-        adam_beta1=get_float(cfg, "train.adam_beta1", 0.9),
-        adam_beta2=get_float(cfg, "train.adam_beta2", 0.999),
-        adam_eps=get_float(cfg, "train.adam_eps", 1e-8),
-        mse_stop=get_float(cfg, "train.mse_stop", 1e-4),
-        batch_size=(get_int(cfg, "train.batch_size", DEFAULT_BATCH_SIZE) or None),
-        rng_seed=get_int(cfg, "train.rng_seed", seed),
-    )
+    try:
+        aug = AugmentConfig(
+            k_neighbors=get_int(cfg, "augment.k_neighbors", 5),
+            target_fail_ratio=get_float(cfg, "augment.target_fail_ratio", 0.05),
+            noise_scale=get_float(cfg, "augment.noise_scale", 0.02),
+            pass_keep_fraction=get_float(cfg, "augment.pass_keep_fraction", 1.0),
+            rng_seed=get_int(cfg, "augment.rng_seed", seed),
+        )
+        tr = TrainConfig(
+            epochs_max=get_int(cfg, "train.epochs_max", 1000),
+            learning_rate=get_float(cfg, "train.learning_rate", 0.001),
+            adam_beta1=get_float(cfg, "train.adam_beta1", 0.9),
+            adam_beta2=get_float(cfg, "train.adam_beta2", 0.999),
+            adam_eps=get_float(cfg, "train.adam_eps", 1e-8),
+            mse_stop=get_float(cfg, "train.mse_stop", 1e-4),
+            batch_size=(get_int(cfg, "train.batch_size", DEFAULT_BATCH_SIZE) or None),
+            rng_seed=get_int(cfg, "train.rng_seed", seed),
+        )
+    except ValueError as exc:
+        raise InputError(f"config: {exc}") from None
     plan = ExperimentPlan(
         dataset=cfg.get("replay.dataset"),
         window_len=get_int(cfg, "replay.window_len", 10),
@@ -149,6 +152,8 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
     for key, value in overrides.items():
         if value is not None:
             setattr(plan, key, value)
+    if plan.window_len < 1:
+        raise InputError(f"window length must be >= 1, got {plan.window_len}")
     return plan
 
 
@@ -364,6 +369,10 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
     if not 0 <= plan.budget_fraction < np.inf:
         raise InputError(f"budget fraction must be a finite number >= 0, "
                          f"got {plan.budget_fraction}")
+    if plan.random_repeats < 1:
+        raise InputError(f"random repeats must be >= 1, got {plan.random_repeats}")
+    if plan.retrain_every is not None and plan.retrain_every < 0:
+        raise InputError(f"retrain interval must be >= 0 (0: never), got {plan.retrain_every}")
 
     timings = {"PT": 0.0, "RT": 0.0, "TT": 0.0}
     rows: list[dict] = []

@@ -138,7 +138,11 @@ FEATURES_HEADER = "Id,ES1,ES2,Duration,LastRun,Distance,ChangeInStatus,Priority\
 @pytest.mark.parametrize("rows, message", [
     ("1,0,1,0.5,0.5,1,1,\n2,0,0,0.2,0.4,0,0,\n", "no Priority labels"),
     ("", "no feature rows"),
-], ids=["empty-priority", "header-only"])
+    ("1,0,1,0.5,0.5,1,1,0.6\n2,0,1,nan,0.4,1,1,0.7\n",
+     "row 3: features and Priority must be finite"),
+    ("1,0,1,0.5,0.5,1,1,inf\n2,0,1,0.2,0.4,1,1,0.7\n",
+     "row 2: features and Priority must be finite"),
+], ids=["empty-priority", "header-only", "nan-duration", "inf-priority"])
 def test_augment_rejects_features_it_cannot_rebalance(tmp_path, capsys, rows, message):
     features = tmp_path / "features.csv"
     features.write_text(FEATURES_HEADER + rows)
@@ -214,6 +218,29 @@ def test_replay_rejects_a_budget_fraction_that_is_not_finite_and_non_negative(
     assert main(["replay", str(dataset), "--budget-fraction", fraction,
                  "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: budget fraction must be")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["label", "--window", "0"], ""),
+    (["train", "--window", "0"], ""),
+    (["history-study", "--windows", "0,10"], ""),
+    (["history-study", "--windows", "a,b"], ""),
+    (["replay"], "augment.k_neighbors = 0"),
+    (["replay"], "train.learning_rate = -1"),
+    (["replay"], "replay.random_repeats = -3"),
+    (["replay"], "replay.window_len = 0"),
+    (["replay", "--retrain-every", "-1"], ""),
+], ids=["label-window", "train-window", "study-window-0", "study-window-text",
+        "k-neighbors", "learning-rate", "random-repeats", "config-window", "retrain-every"])
+def test_bad_window_and_config_values_exit_2(dataset, tmp_path, capsys, argv, config):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    assert main([argv[0], str(dataset), *argv[1:], "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_replay_numeric_failure_exits_3(dataset, tmp_path):
