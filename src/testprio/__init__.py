@@ -5,7 +5,6 @@ from . import errors
 from .augment import AugmentConfig, split_bins
 from .features import FeatureBounds, bounds_from_matrix, extract
 from .history import (
-    ColumnMapping,
     CycleLog,
     StatusMatrix,
     build_status_matrix,

@@ -1,12 +1,13 @@
 """CI execution history: CSV ingestion, cycle grouping, status windows.
 
-The raw input is a per-execution log. Each row records one run of one test
-in one CI cycle; a test that did not run in a cycle simply has no row
-there. The log is held as columns: each ``CycleLog`` keeps its rows' test
-ids, names, verdicts, durations, last-run timestamps and optional
-priorities side by side, in file order, with last-run stamps as int64
-epoch microseconds. Every path that makes a cycle, ingest, the simulator
-and tests alike, hands ``CycleLog`` its columns. ``ExecutionRecord``
+The raw input is a per-execution log with the fixed header ``COLUMNS``
+(Id, Name, Duration, LastRun, Verdict, Cycle; other columns are ignored).
+Each row records one run of one test in one CI cycle; a test that did not
+run in a cycle simply has no row there. The log is held as columns: each
+``CycleLog`` keeps its rows' test ids, names, verdicts, durations and
+last-run timestamps side by side, in file order, with last-run stamps as
+int64 epoch microseconds. Every path that makes a cycle, ingest, the
+simulator and tests alike, hands ``CycleLog`` its columns. ``ExecutionRecord``
 objects, with datetimes, are built only for callers that read
 ``CycleLog.records``.
 
@@ -54,6 +55,9 @@ NOT_RUN = -1
 
 DEFAULT_WINDOW = 10
 
+# The header of an execution log, in the order emit_csv writes it.
+COLUMNS = ("Id", "Name", "Duration", "LastRun", "Verdict", "Cycle")
+
 NEVER_RAN = np.iinfo(np.int64).min  # last_run of a test with no execution yet
 _EPOCH, _UTC_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
@@ -93,18 +97,16 @@ class ExecutionRecord:
     last_run: datetime
     failed: bool
     cycle_id: int
-    prio: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class CycleLog:
     """All executions of a single CI cycle, in stable input order, as columns.
 
-    ``test_ids``, ``names`` and ``prio`` (float or None; None on every row
-    when omitted) are stored as tuples; ``failed`` (bool), ``duration_s``
-    (float64) and ``last_run`` (int64 epoch microseconds) as read-only
-    arrays. An array of the right dtype is kept without a copy and made
-    read-only. Construction checks, with array operations, that
+    ``test_ids`` and ``names`` are stored as tuples; ``failed`` (bool),
+    ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds) as
+    read-only arrays. An array of the right dtype is kept without a copy
+    and made read-only. Construction checks, with array operations, that
     ``cycle_id`` is at least 1, that the columns are of one length, that
     durations are finite and at least 0 and that no test id repeats.
     ``records`` is a read-only view that builds one ExecutionRecord per row
@@ -117,7 +119,6 @@ class CycleLog:
     failed: np.ndarray
     duration_s: np.ndarray
     last_run: np.ndarray
-    prio: tuple | None = None
 
     def __post_init__(self):
         n = len(self.test_ids)
@@ -127,7 +128,6 @@ class CycleLog:
             "failed": np.asarray(self.failed, dtype=bool),
             "duration_s": np.asarray(self.duration_s, dtype=np.float64),
             "last_run": np.asarray(self.last_run, dtype=np.int64),
-            "prio": (None,) * n if self.prio is None else tuple(self.prio),
         }
         for name, value in columns.items():
             if isinstance(value, np.ndarray):
@@ -159,7 +159,6 @@ class CycleLog:
             last_run=from_epoch_us(self.last_run[i]),
             failed=bool(self.failed[i]),
             cycle_id=self.cycle_id,
-            prio=self.prio[i],
         )
 
     def __eq__(self, other):
@@ -189,25 +188,6 @@ class _Records(SequenceABC):
         return map(self._log._record, range(len(self)))
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
-    """Maps canonical fields to CSV header names."""
-
-    id: str = "Id"
-    name: str = "Name"
-    duration: str = "Duration"
-    last_run: str = "LastRun"
-    verdict: str = "Verdict"
-    cycle: str = "Cycle"
-    prio: str | None = None  # optional ground-truth priority column
-
-    def required(self) -> tuple[str, ...]:
-        return (self.id, self.name, self.duration, self.last_run, self.verdict, self.cycle)
-
-
-DEFAULT_COLUMNS = ColumnMapping()
-
-
 def parse_timestamp(text: str) -> datetime:
     """Accepts YYYY-MM-DD and YYYY-MM-DD HH:MM:SS (fractional seconds ok)."""
     return datetime.fromisoformat(text.strip())
@@ -229,12 +209,13 @@ def _parse_stamps(texts: Sequence[str]) -> np.ndarray:
     raise ValueError("a LastRun stamp numpy may misread")
 
 
-def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> list[CycleLog]:
+def ingest_csv(path: str | Path) -> list[CycleLog]:
     """Parse an execution log CSV into cycle-grouped columns.
 
     Cycles come back sorted ascending by id; row order inside a cycle is
-    the file order. Verdict must be encoded 0 = pass, 1 = fail. Extra
-    columns (e.g. LastResults) are ignored.
+    the file order. The header must name every one of ``COLUMNS``, in any
+    order. Verdict must be encoded 0 = pass, 1 = fail. Extra columns (e.g.
+    LastResults, CalcPrio) are ignored.
 
     Below the header, ``np.loadtxt`` (numpy's C CSV parser) reads the file in
     blocks of about ``INGEST_BLOCK_CHARS`` characters, each cut at a line end
@@ -249,18 +230,17 @@ def ingest_csv(path: str | Path, schema: ColumnMapping = DEFAULT_COLUMNS) -> lis
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
-            raise MissingColumn(schema.id)
-        for col in schema.required():
+            raise MissingColumn(COLUMNS[0])
+        for col in COLUMNS:
             if col not in header:
                 raise MissingColumn(col)
-        has_prio = schema.prio is not None and schema.prio in header
         try:
-            cycles = _ingest_columns(fh, _line_ends(path) + 1, header, schema, has_prio)
+            cycles = _ingest_columns(fh, _line_ends(path) + 1, header)
         except (ValueError, OverflowError, DuplicateExecution):
             cycles = None
         if cycles is None:
             fh.seek(0)
-            cycles = _ingest_rows(csv.DictReader(fh), schema, has_prio)
+            cycles = _ingest_rows(csv.DictReader(fh))
     return cycles
 
 
@@ -319,23 +299,20 @@ def _block_stamps(texts: np.ndarray, offsets: set) -> np.ndarray | list[int]:
     return stamps
 
 
-def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
-                    has_prio: bool) -> list[CycleLog] | None:
+def _ingest_columns(fh, capacity: int, header: list[str]) -> list[CycleLog] | None:
     """The bulk path of ingest_csv over the rest of ``fh``, which holds at most
     ``capacity`` rows. Returns None, or raises ValueError, OverflowError or
     DuplicateExecution, when some row is not valid or may be read differently
     by csv."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
-    fields = [*schema.required(), schema.prio] if has_prio else list(schema.required())
-    usecols = [where[f] for f in fields]
+    usecols = [where[f] for f in COLUMNS]
     dtype = np.dtype([("id", np.int64), ("name", object), ("duration", np.float64),
                       ("last_run", object), ("verdict", f"U{_VERDICT_WIDTH}"),
-                      ("cycle", np.int64), ("prio", object)][: len(fields)])
+                      ("cycle", np.int64)])
     ids, cycle = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
     duration, stamps = np.empty(capacity), np.empty(capacity, np.int64)
     names, failed = np.empty(capacity, object), np.empty(capacity, bool)
-    prios = np.empty(capacity, object) if has_prio else None
     n, offsets = 0, set()
     for text in _blocks(fh, INGEST_BLOCK_CHARS):
         if not text.strip("\r\n"):
@@ -355,8 +332,6 @@ def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
         ids[block], duration[block], cycle[block] = rows["id"], rows["duration"], rows["cycle"]
         names[block] = list(map(sys.intern, rows["name"]))
         stamps[block] = _block_stamps(rows["last_run"], offsets)
-        if has_prio:
-            prios[block] = [float(p) if p else None for p in map(str.strip, rows["prio"])]
         n = block.stop
     if not n:
         return []
@@ -381,22 +356,20 @@ def _ingest_columns(fh, capacity: int, header: list[str], schema: ColumnMapping,
             failed[rows_at],
             duration[rows_at],
             stamps[rows_at],
-            tuple(prios[rows_at].tolist()) if has_prio else None,
         ))
     return out
 
 
-def _ingest_rows(reader: csv.DictReader, schema: ColumnMapping,
-                 has_prio: bool) -> list[CycleLog]:
+def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
     """ingest_csv one row at a time: raises the first bad row's error."""
     by_cycle: dict[int, list[tuple]] = {}  # cycle id -> its rows' column values
     seen: set[tuple[int, int]] = set()
     first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
     for rownum, row in enumerate(reader, start=2):
-        cycle_id, last_run, values = _parse_row(row, rownum, schema, has_prio)
+        cycle_id, last_run, values = _parse_row(row, rownum)
         first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
         if len(first_of_kind) == 2:
-            raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
+            raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
                                        f"{min(first_of_kind.values())}'s in having a UTC offset")
         key = (values[0], cycle_id)
         if key in seen:
@@ -406,75 +379,59 @@ def _ingest_rows(reader: csv.DictReader, schema: ColumnMapping,
     return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
 
 
-def _parse_row(row: dict, rownum: int, schema: ColumnMapping,
-               has_prio: bool) -> tuple[int, datetime, tuple]:
+def _parse_row(row: dict, rownum: int) -> tuple[int, datetime, tuple]:
     """A valid row's cycle id, parsed LastRun and values in CycleLog column
-    order (id, name, failed, duration, epoch microseconds, priority); raises
-    the row's error otherwise."""
+    order (id, name, failed, duration, epoch microseconds); raises the row's
+    error otherwise."""
     try:
-        test_id = int(row[schema.id])
+        test_id = int(row["Id"])
     except (TypeError, ValueError):
-        raise MalformedRow(rownum, f"bad id {row.get(schema.id)!r}") from None
+        raise MalformedRow(rownum, f"bad id {row.get('Id')!r}") from None
     try:
-        duration = float(row[schema.duration])
+        duration = float(row["Duration"])
     except (TypeError, ValueError):
-        raise MalformedRow(rownum, f"bad duration {row.get(schema.duration)!r}") from None
+        raise MalformedRow(rownum, f"bad duration {row.get('Duration')!r}") from None
     if math.isnan(duration) or math.isinf(duration):
         raise MalformedRow(rownum, f"non-finite duration {duration}")
     if duration < 0:
         raise NegativeDuration(rownum, duration)
     try:
         # a row too short to reach LastRun holds None there
-        last_run = parse_timestamp(row[schema.last_run] or "")
+        last_run = parse_timestamp(row["LastRun"] or "")
     except (TypeError, ValueError):
-        raise MalformedRow(rownum, f"bad timestamp {row.get(schema.last_run)!r}") from None
-    verdict_raw = (row[schema.verdict] or "").strip()
+        raise MalformedRow(rownum, f"bad timestamp {row.get('LastRun')!r}") from None
+    verdict_raw = (row["Verdict"] or "").strip()
     if verdict_raw not in ("0", "1"):
         raise BadVerdict(rownum, verdict_raw)
     try:
-        cycle_id = int(row[schema.cycle])
+        cycle_id = int(row["Cycle"])
     except (TypeError, ValueError):
-        raise MalformedRow(rownum, f"bad cycle {row.get(schema.cycle)!r}") from None
+        raise MalformedRow(rownum, f"bad cycle {row.get('Cycle')!r}") from None
     if cycle_id < 1:
         raise MalformedRow(rownum, f"cycle id must be >= 1, got {cycle_id}")
-    prio = None
-    if has_prio:
-        raw = (row[schema.prio] or "").strip()
-        if raw:
-            try:
-                prio = float(raw)
-            except ValueError:
-                raise MalformedRow(rownum, f"bad priority {raw!r}") from None
-    values = (test_id, row[schema.name], verdict_raw == "1", duration, to_epoch_us(last_run), prio)
+    values = (test_id, row["Name"], verdict_raw == "1", duration, to_epoch_us(last_run))
     return cycle_id, last_run, values
 
 
-def emit_csv(cycles: Iterable[CycleLog], path: str | Path,
-             schema: ColumnMapping = DEFAULT_COLUMNS) -> None:
+def emit_csv(cycles: Iterable[CycleLog], path: str | Path) -> None:
     """Write cycles back out in the ingestible CSV format (lossless up to UTC offsets:
     a stamp that had one is written as its UTC time)."""
-    header = list(schema.required())
-    if schema.prio is not None:
-        header.append(schema.prio)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(COLUMNS)
         for cycle in cycles:
-            for tid, name, duration, stamp, failed, prio in zip(
+            for tid, name, duration, stamp, failed in zip(
                 cycle.test_ids, cycle.names, cycle.duration_s.tolist(), cycle.last_run.tolist(),
-                cycle.failed.tolist(), cycle.prio,
+                cycle.failed.tolist(),
             ):
-                row = [
+                writer.writerow([
                     tid,
                     name,
                     repr(duration),
                     from_epoch_us(stamp).isoformat(sep=" "),
                     "1" if failed else "0",
                     cycle.cycle_id,
-                ]
-                if schema.prio is not None:
-                    row.append("" if prio is None else repr(prio))
-                writer.writerow(row)
+                ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,9 +465,6 @@ class StatusMatrix:
 
     def __len__(self) -> int:
         return len(self.test_ids)
-
-    def row(self, test_id) -> np.ndarray:
-        return self.statuses[self.test_ids.index(test_id)]
 
 
 class ReplayState:

@@ -20,17 +20,16 @@ import numpy as np
 
 from .augment import AugmentConfig, augment, fail_ratio
 from .config import get_bool, get_float, get_int
-from .errors import InputError, InsufficientHistory, MissingPriorityColumn
+from .errors import InputError, InsufficientHistory, MalformedRow, MissingPriorityColumn
 from .features import (
     FeatureBounds,
     FeatureSet,
     bounds_from_matrix,
-    extract,
+    extract,  # not called here; bench/tracing.py wraps this module's name
     feature_matrix,
     stack,
 )
 from .history import (
-    ColumnMapping,
     CycleLog,
     ReplayState,
     StatusMatrix,
@@ -366,6 +365,8 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             raise InputError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}")
     if not plan.strategies:
         raise InputError("no strategies selected")
+    if plan.window_len < 1:
+        raise InputError(f"window length must be >= 1, got {plan.window_len}")
     if not 0 <= plan.budget_fraction < np.inf:
         raise InputError(f"budget fraction must be a finite number >= 0, "
                          f"got {plan.budget_fraction}")
@@ -629,35 +630,47 @@ class GroundTruthReport:
     model_max: float | None
 
 
-def compare_against_ground_truth(
-    plan: ExperimentPlan,
-    model: SavedModel | None = None,
-    prio_column: str = "CalcPrio",
-) -> GroundTruthReport:
-    """Per-test |actual - computed| for the history-weighted rule and,
-    when a model is given, for its predictions."""
-    if isinstance(plan.dataset, (str, Path)):
-        schema = ColumnMapping(prio=prio_column)
-        cycles = ingest_csv(plan.dataset, schema=schema)
-    else:
-        cycles = list(plan.dataset)
+def _read_priorities(path: str | Path) -> dict:
+    """Each test's ``CalcPrio`` from the latest cycle whose row sets one. Empty
+    cells are skipped; a value float() rejects raises MalformedRow. The log's
+    other fields are ingest_csv's to check, before this runs."""
+    latest: dict = {}  # test id -> (cycle id, priority)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if "CalcPrio" not in (reader.fieldnames or ()):
+            return {}
+        for rownum, row in enumerate(reader, start=2):
+            raw = (row["CalcPrio"] or "").strip()
+            if not raw:
+                continue
+            try:
+                prio = float(raw)
+            except ValueError:
+                raise MalformedRow(rownum, f"bad priority {raw!r}") from None
+            test_id, cycle_id = int(row["Id"]), int(row["Cycle"])
+            if cycle_id > latest.get(test_id, (0,))[0]:
+                latest[test_id] = (cycle_id, prio)
+    return {test_id: prio for test_id, (_, prio) in latest.items()}
 
-    actual: dict = {}
-    for cycle in cycles:  # later cycles overwrite
-        actual.update((tid, p) for tid, p in zip(cycle.test_ids, cycle.prio) if p is not None)
+
+def compare_against_ground_truth(plan: ExperimentPlan,
+                                 model: SavedModel | None = None) -> GroundTruthReport:
+    """Per-test |actual - computed| for the history-weighted rule and, when a
+    model is given, for its predictions. The actual priorities are the
+    ``CalcPrio`` column of the CSV log ``plan.dataset``."""
+    if not isinstance(plan.dataset, (str, Path)):
+        raise MissingPriorityColumn("only a CSV log carries 'CalcPrio' values, "
+                                    "not an in-memory dataset")
+    cycles = ingest_csv(plan.dataset)
+    actual = _read_priorities(plan.dataset)
     if not actual:
-        raise MissingPriorityColumn(
-            f"dataset carries no usable {prio_column!r} values"
-        )
+        raise MissingPriorityColumn("dataset carries no usable 'CalcPrio' values")
 
     window = model.window_len if model is not None else plan.window_len
-    matrix = build_status_matrix(cycles, window, include_tests=list(actual))
+    matrix = build_status_matrix(cycles, window)
     scheme = weight_scheme(plan.weights, window)
-    rocket_prios = priorities(matrix.statuses, scheme)
-    preds = None
-    if model is not None:
-        X, _, _ = stack(extract(matrix, bounds=model.bounds, expected_window=window))
-        preds = np.clip(predict(model.net, X), 0.0, 1.0)
+    rocket_prios = SCORERS[STRATEGY_ROCKET](matrix, model, scheme)
+    preds = None if model is None else SCORERS[STRATEGY_DEEPORDER](matrix, model, scheme)
 
     rows = []
     for i, tid in enumerate(matrix.test_ids):

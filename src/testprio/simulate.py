@@ -108,7 +108,6 @@ def sample_rows(cycles: list[CycleLog], fraction: float, seed: int = 0) -> list[
                 cycle.failed[kept],
                 cycle.duration_s[kept],
                 cycle.last_run[kept],
-                [cycle.prio[i] for i in pick],
             ))
     return out
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta
 
 import pytest
 
-from testprio.history import CycleLog, to_epoch_us
+from testprio.history import CycleLog, emit_csv, to_epoch_us
 
 BASE_DAY = datetime(2016, 1, 1)
 
@@ -21,6 +22,19 @@ def cycles_from(rows):
         by_cycle.setdefault(cycle, []).append(
             (test_id, f"T{test_id}", failed, *(duration or [1.0]), day_us(cycle)))
     return [CycleLog(c, *zip(*by_cycle[c])) for c in sorted(by_cycle)]
+
+
+def emit_with_calc_prio(cycles, path, cell):
+    """emit_csv(cycles, path) plus a last column, CalcPrio, whose text in the
+    row of test t in cycle c is ``cell(c, t)``."""
+    emit_csv(cycles, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*header, "CalcPrio"])
+        writer.writerows([*row, cell(int(row[5]), int(row[0]))] for row in rows)
+    return path
 
 
 @pytest.fixture

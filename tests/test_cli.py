@@ -4,8 +4,10 @@ import pytest
 
 from testprio.cli import main
 from testprio.features import DERIVED_FEATURES, load_features_csv
-from testprio.history import ColumnMapping, emit_csv
+from testprio.history import emit_csv
 from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
+
+from conftest import emit_with_calc_prio
 
 SMALL = SuiteProfile(
     name="small", n_tests=12, n_cycles=30, participation=0.8,
@@ -167,13 +169,18 @@ def test_evaluate_ground_truth_missing_column(dataset, trained_model):
 
 
 def test_evaluate_ground_truth_present(tmp_path, capsys):
-    from dataclasses import replace
-    cycles = generate_history(SMALL, seed=9)
-    with_prio = [replace(c, prio=[0.5] * len(c.test_ids)) for c in cycles]
-    path = tmp_path / "prio.csv"
-    emit_csv(with_prio, path, ColumnMapping(prio="CalcPrio"))
+    path = emit_with_calc_prio(generate_history(SMALL, seed=9), tmp_path / "prio.csv",
+                               lambda cycle_id, test_id: "0.5")
     assert main(["evaluate", str(path), "--ground-truth"]) == 0
     assert "mean_abs_diff" in capsys.readouterr().out
+
+
+def test_evaluate_ground_truth_bad_priority_exits_2(tmp_path, capsys):
+    path = emit_with_calc_prio(generate_history(SMALL, seed=9), tmp_path / "prio.csv",
+                               lambda cycle_id, test_id: "n/a" if cycle_id == 2 else "0.5")
+    assert main(["evaluate", str(path), "--ground-truth"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row ") and err.endswith(": bad priority 'n/a'\n")
 
 
 def test_replay_end_to_end(dataset, fast_config, tmp_path, capsys):

@@ -21,8 +21,8 @@ from testprio.errors import (
     NegativeDuration,
 )
 from testprio.history import (
+    COLUMNS,
     NEVER_RAN,
-    ColumnMapping,
     CycleLog,
     StatusMatrix,
     _parse_row,
@@ -108,26 +108,17 @@ class TestIngest:
         assert stamps[2].microsecond == 931000
 
     def test_extra_columns_ignored(self, tmp_path):
-        header = "Id,Name,Duration,LastRun,Verdict,Cycle,LastResults\n"
-        cycles = ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1,[1 0]\n", header))
-        assert cycles[0].records[0].test_id == 1
+        header = "Id,Name,Duration,LastRun,Verdict,Cycle,LastResults,CalcPrio\n"
+        cycles = ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1,[1 0],0.75\n", header))
+        assert cycles == ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1\n"))
 
     def test_cycles_sorted_ascending(self, tmp_path):
         body = "1,T1,1.0,2016-01-03,0,3\n1,T1,1.0,2016-01-01,0,1\n1,T1,1.0,2016-01-02,0,2\n"
         cycles = ingest_csv(write(tmp_path, body))
         assert [c.cycle_id for c in cycles] == [1, 2, 3]
 
-    def test_prio_column_optional(self, tmp_path):
-        header = "Id,Name,Duration,LastRun,Verdict,Cycle,CalcPrio\n"
-        schema = ColumnMapping(prio="CalcPrio")
-        cycles = ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1,0.75\n", header), schema)
-        assert cycles[0].records[0].prio == 0.75
-        # schema asks for prio but file has no such column: records get None
-        cycles = ingest_csv(write(tmp_path, "1,T1,1.0,2016-01-02,0,1\n"), schema)
-        assert cycles[0].records[0].prio is None
 
-
-def dictreader_ingest(path, schema):
+def dictreader_ingest(path):
     """ingest_csv as it was before the columnar path: csv.DictReader and
     _parse_row, one row at a time, plus the rule that a log's stamps all
     carry a UTC offset or none do."""
@@ -135,17 +126,16 @@ def dictreader_ingest(path, schema):
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:
-            raise MissingColumn(schema.id)
-        for col in schema.required():
+            raise MissingColumn("Id")
+        for col in COLUMNS:
             if col not in header:
                 raise MissingColumn(col)
-        has_prio = schema.prio is not None and schema.prio in header
         by_cycle, seen, first_of_kind = {}, set(), {}
         for rownum, row in enumerate(reader, start=2):
-            cycle_id, last_run, values = _parse_row(row, rownum, schema, has_prio)
+            cycle_id, last_run, values = _parse_row(row, rownum)
             first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
             if len(first_of_kind) == 2:
-                raise MalformedRow(rownum, f"LastRun {row[schema.last_run]!r} differs from row "
+                raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
                                            f"{min(first_of_kind.values())}'s in having a UTC offset")
             key = (values[0], cycle_id)
             if key in seen:
@@ -183,12 +173,12 @@ def stamp_texts(draw, offsets):
 
 @st.composite
 def execution_logs(draw):
-    """CSV text of an execution log, the fault injected (or None) and the schema."""
+    """CSV text of an execution log and the fault injected (or None). A
+    CalcPrio column, when drawn, is one that ingest ignores."""
     keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)),
                          max_size=25, unique=True))
     with_prio = draw(st.booleans())
-    fields = ["Id", "Name", "Duration", "LastRun", "Verdict", "Cycle"]
-    fields += ["CalcPrio"] if with_prio else []
+    fields = [*COLUMNS, *(["CalcPrio"] if with_prio else [])]
     extras = draw(st.lists(st.sampled_from(["LastResults", "Id", "Duration", "Cycle"]),
                            max_size=3))
     header = draw(st.permutations(fields + extras))
@@ -239,13 +229,12 @@ def execution_logs(draw):
         writer.writerow(row)
         if draw(st.booleans()):
             out.write("\r\n")  # a blank line
-    schema = ColumnMapping(prio="CalcPrio") if draw(st.booleans()) else ColumnMapping()
-    return out.getvalue(), fault, schema
+    return out.getvalue(), fault
 
 
-def outcome(ingest, path, schema):
+def outcome(ingest, path):
     try:
-        cycles = ingest(path, schema)
+        cycles = ingest(path)
     except Exception as exc:
         return type(exc), str(exc)
     return cycles, [tuple(c.records) for c in cycles]
@@ -257,11 +246,11 @@ def outcome(ingest, path, schema):
 def test_ingest_matches_row_by_row_dictreader(tmp_path, log):
     """The columnar ingest returns the cycles the DictReader loop returns, or
     raises its exception with the same message (and row number)."""
-    text, fault, schema = log
+    text, fault = log
     path = tmp_path / "log.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    expected = outcome(dictreader_ingest, path, schema)
-    assert outcome(ingest_csv, path, schema) == expected
+    expected = outcome(dictreader_ingest, path)
+    assert outcome(ingest_csv, path) == expected
     if fault is not None:
         assert isinstance(expected[0], type), fault
 
@@ -274,14 +263,14 @@ def test_ingest_matches_row_by_row_dictreader_across_block_edges(tmp_path, block
     """With tiny read blocks, quoted multi-line names, CRLF line ends and blank
     lines fall across block edges; the outcome is still the DictReader loop's,
     and a block of blank lines alone warns of nothing."""
-    text, _, schema = log
+    text, _ = log
     path = tmp_path / "log.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    expected = outcome(dictreader_ingest, path, schema)
+    expected = outcome(dictreader_ingest, path)
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
         patch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
-        assert outcome(ingest_csv, path, schema) == expected
+        assert outcome(ingest_csv, path) == expected
 
 
 NAME_LAST = "Id,Duration,LastRun,Verdict,Cycle,Name\n"
@@ -305,9 +294,9 @@ NAME_LAST = "Id,Duration,LastRun,Verdict,Cycle,Name\n"
 def test_text_csv_may_read_otherwise_takes_the_row_path(tmp_path, monkeypatch, block_chars,
                                                         text):
     path = write(tmp_path, text, header="")
-    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    expected = outcome(dictreader_ingest, path)
     monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
-    assert outcome(ingest_csv, path, ColumnMapping()) == expected
+    assert outcome(ingest_csv, path) == expected
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 40])
@@ -324,10 +313,10 @@ def test_raw_quotes_and_line_ends_in_names_read_as_csv_reads_them(tmp_path, bloc
     text = NAME_LAST + "".join(f"{i},1.0,2016-01-02,0,1,{name}\n"
                                for i, name in enumerate(names, start=1))
     path = write(tmp_path, text, header="")
-    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    expected = outcome(dictreader_ingest, path)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
-        assert outcome(ingest_csv, path, ColumnMapping()) == expected
+        assert outcome(ingest_csv, path) == expected
 
 
 @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
@@ -344,11 +333,11 @@ def test_quoted_names_are_read_in_bulk_across_block_edges(tmp_path, monkeypatch,
         writer.writerow([i, 1.5, "2016-01-02 10:00:00", i % 2, 1 + i // 3, name])
         out.write("\r\n" * (i % 2))
     path = write(tmp_path, out.getvalue(), header="")
-    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    expected = outcome(dictreader_ingest, path)
     assert [n for c in expected[0] for n in c.names] == names
     monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(history, "_ingest_rows", None)  # the row path is not taken
-    assert outcome(ingest_csv, path, ColumnMapping()) == expected
+    assert outcome(ingest_csv, path) == expected
 
 
 def test_a_field_longer_than_csvs_limit_raises_csvs_error(tmp_path):
@@ -357,7 +346,7 @@ def test_a_field_longer_than_csvs_limit_raises_csvs_error(tmp_path):
         ingest_csv(path)
 
 
-def random_cycles(rng: random.Random, with_prio=False):
+def random_cycles(rng: random.Random):
     cycles = []
     for cycle_id in sorted(rng.sample(range(1, 30), rng.randint(1, 8))):
         rows = []
@@ -367,22 +356,19 @@ def random_cycles(rng: random.Random, with_prio=False):
                 days=cycle_id, seconds=rng.randint(0, 86399),
                 microseconds=rng.choice([0, rng.randint(0, 999999)]))
             failed = rng.choice([False, True])
-            prio = round(rng.uniform(0, 1), 6) if with_prio and rng.random() < 0.8 else None
-            rows.append((test_id, f"T{test_id}", failed, duration, to_epoch_us(last_run), prio))
+            rows.append((test_id, f"T{test_id}", failed, duration, to_epoch_us(last_run)))
         cycles.append(CycleLog(cycle_id, *zip(*rows)))
     return cycles
 
 
-@pytest.mark.parametrize("with_prio", [False, True])
-def test_emit_ingest_round_trip(tmp_path, with_prio):
+def test_emit_ingest_round_trip(tmp_path):
     """ingest(emit(cycles)) reproduces the cycles exactly."""
-    rng = random.Random(1234 + with_prio)
-    schema = ColumnMapping(prio="CalcPrio") if with_prio else ColumnMapping()
+    rng = random.Random(1234)
     for trial in range(25):
-        cycles = random_cycles(rng, with_prio=with_prio)
-        path = tmp_path / f"round_{with_prio}_{trial}.csv"
-        emit_csv(cycles, path, schema)
-        assert ingest_csv(path, schema) == cycles
+        cycles = random_cycles(rng)
+        path = tmp_path / f"round_{trial}.csv"
+        emit_csv(cycles, path)
+        assert ingest_csv(path) == cycles
 
 
 # Columns of a valid two-row cycle, in CycleLog's argument order after cycle_id.
@@ -392,27 +378,25 @@ TWO_ROWS = dict(test_ids=(1, 2), names=("T1", "T2"), failed=[False, True],
 
 class TestCycleLog:
     def test_columns_are_stored_as_tuples_and_read_only_arrays(self):
-        log = CycleLog(3, [5, 4], ["a", "b"], [1, 0], [2, 3], [10, 20], prio=[0.5, None])
-        assert (log.test_ids, log.names, log.prio) == ((5, 4), ("a", "b"), (0.5, None))
+        log = CycleLog(3, [5, 4], ["a", "b"], [1, 0], [2, 3], [10, 20])
+        assert (log.test_ids, log.names) == ((5, 4), ("a", "b"))
         assert [log.failed.dtype, log.duration_s.dtype, log.last_run.dtype] == [
             np.bool_, np.float64, np.int64]
         for column in (log.failed, log.duration_s, log.last_run):
             with pytest.raises(ValueError):
                 column[0] = 1
-        assert CycleLog(1, **TWO_ROWS).prio == (None, None)
 
     @pytest.mark.parametrize("cycle_id,change,error,message", [
         (1, dict(test_ids=(2, 2)), DuplicateExecution, "test 2 appears more than once in cycle 1"),
         (1, dict(names=("T1",)), ValueError, "columns differ in shape"),
         (1, dict(failed=[False, True, True]), ValueError, "columns differ in shape"),
         (1, dict(last_run=[[1, 2]]), ValueError, "columns differ in shape"),
-        (1, dict(prio=(0.5,)), ValueError, "columns differ in shape"),
         (1, dict(duration_s=[1.0, -0.5]), ValueError, "durations must be finite and >= 0"),
         (1, dict(duration_s=[np.nan, 1.0]), ValueError, "durations must be finite and >= 0"),
         (1, dict(duration_s=[1.0, np.inf]), ValueError, "durations must be finite and >= 0"),
         (0, {}, ValueError, "cycle_id must be >= 1, got 0"),
         (-3, {}, ValueError, "cycle_id must be >= 1, got -3"),
-    ], ids=["duplicate id", "short names", "long failed", "2-d last_run", "short prio",
+    ], ids=["duplicate id", "short names", "long failed", "2-d last_run",
             "negative duration", "nan duration", "inf duration", "cycle 0", "cycle -3"])
     def test_rejects_invalid_columns(self, cycle_id, change, error, message):
         with pytest.raises(error, match=message):
@@ -578,9 +562,9 @@ def test_a_log_whose_stamps_all_carry_offsets_is_read_in_bulk(tmp_path, monkeypa
             "2,T2,1.0,2016-01-04T10:00:00.5-05:00,1,1\n"
             "1,T1,1.0,2016-01-05 09:00:00Z,0,2\n")
     path = write(tmp_path, body)
-    expected = outcome(dictreader_ingest, path, ColumnMapping())
+    expected = outcome(dictreader_ingest, path)
     monkeypatch.setattr(history, "_ingest_rows", None)  # the row path is not taken
-    assert outcome(ingest_csv, path, ColumnMapping()) == expected
+    assert outcome(ingest_csv, path) == expected
 
 
 def test_offset_stamps_give_the_features_of_their_utc_times(tmp_path):

@@ -15,7 +15,9 @@ from testprio.config import get_bool, get_float, load_config, parse_config
 from testprio.errors import (
     InputError,
     InsufficientHistory,
+    MalformedRow,
     MissingPriorityColumn,
+    NegativeDuration,
     NonFinitePriority,
 )
 from testprio.history import (
@@ -47,7 +49,8 @@ from testprio.rocket import label_dataset, linear_weights, priorities
 from testprio import simulate
 from testprio.simulate import SuiteProfile, generate_history
 
-from test_history import random_cycles
+from conftest import emit_with_calc_prio
+from test_history import HEADER, random_cycles
 
 TINY = SuiteProfile(
     name="tiny", n_tests=15, n_cycles=40, participation=0.8,
@@ -263,6 +266,11 @@ class TestRunPipeline:
         with pytest.raises(InputError):
             run_pipeline(tiny_plan(tiny_cycles, strategies=("bogus",)))
 
+    @pytest.mark.parametrize("window_len", [0, -2])
+    def test_window_below_one_rejected(self, tiny_cycles, window_len):
+        with pytest.raises(InputError, match=f"window length must be >= 1, got {window_len}"):
+            run_pipeline(tiny_plan(tiny_cycles, window_len=window_len))
+
     def test_explicit_cut_validation(self, tiny_cycles):
         with pytest.raises(InputError):
             run_pipeline(tiny_plan(tiny_cycles, cut_cycle=40))  # nothing after
@@ -297,6 +305,10 @@ class TestHistoryLengthStudy:
         with pytest.raises(InsufficientHistory):
             history_length_study(tiny_plan(tiny_cycles[:8]), (4, 10))
 
+    def test_window_below_one_rejected(self, tiny_cycles):
+        with pytest.raises(InputError, match="window length must be >= 1, got 0"):
+            history_length_study(tiny_plan(tiny_cycles), (0, 10))
+
     def test_identical_windows_zero_delta(self, tiny_cycles):
         study = history_length_study(tiny_plan(tiny_cycles), (6, 6))
         assert study.delta_apfd == 0.0
@@ -311,32 +323,67 @@ class TestHistoryLengthStudy:
 
 
 class TestGroundTruthComparison:
-    def make_prio_cycles(self, cycles, epsilon=0.0):
+    def make_prio_log(self, cycles, path, epsilon=0.0):
+        """The log with a CalcPrio column holding the rule's priorities plus
+        ``epsilon``. A test's value is set in its last run, or, for every
+        third test, in the run before, with a blank cell after it. Its earlier
+        runs hold decoys or empty cells, and the cycles are written in a
+        shuffled order, so file order does not pick the value that counts."""
         matrix = build_status_matrix(cycles, 10)
         prios = priorities(matrix.statuses, linear_weights(10))
         lookup = dict(zip(matrix.test_ids, prios.tolist()))
-        return [replace(c, prio=[lookup[t] + epsilon for t in c.test_ids]) for c in cycles]
+        runs: dict = {}  # test id -> the cycles it ran in
+        for cycle in cycles:
+            for test_id in cycle.test_ids:
+                runs.setdefault(test_id, []).append(cycle.cycle_id)
 
-    def test_exact_match_gives_zero_difference(self, tiny_cycles):
-        with_prio = self.make_prio_cycles(tiny_cycles)
-        report = compare_against_ground_truth(tiny_plan(with_prio))
+        def cell(cycle_id, test_id):
+            ran = runs[test_id]
+            setting = ran[-2] if test_id % 3 == 0 and len(ran) > 1 else ran[-1]
+            if cycle_id == setting:
+                return repr(lookup[test_id] + epsilon)
+            if cycle_id > setting:
+                return " "
+            return "" if cycle_id % 2 else repr(lookup[test_id] + 0.5)
+
+        return emit_with_calc_prio(random.Random(3).sample(cycles, len(cycles)), path, cell)
+
+    def test_exact_match_gives_zero_difference(self, tiny_cycles, tmp_path):
+        log = self.make_prio_log(tiny_cycles, tmp_path / "prio.csv")
+        report = compare_against_ground_truth(tiny_plan(log))
         assert report.rocket_mean == pytest.approx(0.0, abs=1e-12)
         assert report.rocket_max == pytest.approx(0.0, abs=1e-12)
+        assert {r["test_id"] for r in report.rows} == {t for c in tiny_cycles for t in c.test_ids}
 
-    def test_known_perturbation_recovered(self, tiny_cycles):
-        with_prio = self.make_prio_cycles(tiny_cycles, epsilon=0.01)
-        report = compare_against_ground_truth(tiny_plan(with_prio))
+    def test_known_perturbation_recovered(self, tiny_cycles, tmp_path):
+        log = self.make_prio_log(tiny_cycles, tmp_path / "prio.csv", epsilon=0.01)
+        report = compare_against_ground_truth(tiny_plan(log))
         assert report.rocket_mean == pytest.approx(0.01, abs=1e-9)
         assert report.rocket_max == pytest.approx(0.01, abs=1e-9)
 
     def test_missing_column(self, tiny_cycles):
+        """An in-memory dataset carries no priorities."""
         with pytest.raises(MissingPriorityColumn):
             compare_against_ground_truth(tiny_plan(tiny_cycles))
 
-    def test_model_comparison_included(self, tiny_cycles):
+    @pytest.mark.parametrize("body, error, message", [
+        ("1,T1,1.0,2016-01-02,0,1,0.5\n2,T2,1.0,2016-01-02,0,1, high \n",
+         MalformedRow, "row 3: bad priority 'high'"),
+        # The log is checked before its priorities: the bad duration on row 3
+        # is reported, not the bad priority on row 2.
+        ("1,T1,1.0,2016-01-02,0,1,high\n2,T2,-1.0,2016-01-02,0,1,0.5\n",
+         NegativeDuration, "row 3: duration must be >= 0"),
+    ], ids=["bad-priority", "log-error-first"])
+    def test_bad_priority_names_its_row(self, tmp_path, body, error, message):
+        log = tmp_path / "prio.csv"
+        log.write_text(HEADER.replace("\n", ",CalcPrio\n") + body, encoding="utf-8")
+        with pytest.raises(error, match=message):
+            compare_against_ground_truth(tiny_plan(log))
+
+    def test_model_comparison_included(self, tiny_cycles, tmp_path):
         model, _ = train_model(tiny_cycles[:30], tiny_plan(tiny_cycles))
-        with_prio = self.make_prio_cycles(tiny_cycles)
-        report = compare_against_ground_truth(tiny_plan(with_prio), model=model)
+        log = self.make_prio_log(tiny_cycles, tmp_path / "prio.csv")
+        report = compare_against_ground_truth(tiny_plan(log), model=model)
         assert report.model_mean is not None
         assert 0.0 <= report.model_mean <= 1.0
 
