@@ -76,7 +76,8 @@ def nearest_neighbors(X: np.ndarray, k: int, rows=None) -> tuple[np.ndarray, np.
     rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.intp)
     idx, dist = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
     for out, i in enumerate(rows.tolist()):
-        d = np.linalg.norm(X[i] - X, axis=1)
+        d = X[i] - X
+        d = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm's sums, minus its conj() copy
         d[i] = np.inf  # never its own neighbor
         near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])  # ascending indices
         near = near[np.argsort(d[near], kind="stable")[:k]]

@@ -169,26 +169,23 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     plan = _plan(args, dataset=args.dataset)
+    if not (args.model or args.ground_truth):
+        raise InputError("nothing to evaluate: pass --model and/or --ground-truth")
     model: SavedModel | None = load_model(args.model) if args.model else None
-    did_anything = False
+    cycles = ingest_csv(args.dataset)
     if model is not None:
-        cycles = ingest_csv(args.dataset)
         scheme = weight_scheme(model.weight_scheme, model.window_len)
         labeled = training_vectors(cycles, model.window_len, scheme, model.bounds)
         X, y, _ = stack(labeled)
         acc = regression_accuracy(predict(model.net, X), y)
         print(format_table(["mse", "r_squared", "residual_std"],
                            [[acc.mse, acc.r_squared, acc.residual_std]]))
-        did_anything = True
     if args.ground_truth:
-        report = compare_against_ground_truth(plan, model=model)
+        report = compare_against_ground_truth(plan, model=model, cycles=cycles)
         rows = [["rocket", report.rocket_mean, report.rocket_max]]
         if report.model_mean is not None:
             rows.append(["model", report.model_mean, report.model_max])
         print(format_table(["method", "mean_abs_diff", "max_abs_diff"], rows))
-        did_anything = True
-    if not did_anything:
-        raise InputError("nothing to evaluate: pass --model and/or --ground-truth")
     return EXIT_OK
 
 

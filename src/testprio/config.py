@@ -32,6 +32,23 @@ def parse_config(text: str) -> dict[str, str]:
     return values
 
 
+class LookupLog(dict):
+    """A config that records each key looked up in it with ``in`` or ``get``,
+    so that a reader can reject the keys it never looked up."""
+
+    def __init__(self, cfg: dict[str, str]):
+        super().__init__(cfg)
+        self.looked_up: set[str] = set()
+
+    def __contains__(self, key) -> bool:
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 

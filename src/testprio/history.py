@@ -44,6 +44,7 @@ from .errors import (
     BadVerdict,
     DuplicateExecution,
     EmptyHistory,
+    InputError,
     MalformedRow,
     MissingColumn,
     NegativeDuration,
@@ -225,22 +226,27 @@ def ingest_csv(path: str | Path) -> list[CycleLog]:
     into ``CycleLog``s. The whole file is parsed and validated before this
     returns. If loadtxt rejects a block or any row fails a check, the file is
     re-walked row by row (``_parse_row`` is the definition of a valid row),
-    which raises the first bad row's error with its row number.
+    which raises the first bad row's error with its row number. A log that
+    is not UTF-8 raises InputError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise MissingColumn(COLUMNS[0])
-        for col in COLUMNS:
-            if col not in header:
-                raise MissingColumn(col)
-        try:
-            cycles = _ingest_columns(fh, _line_ends(path) + 1, header)
-        except (ValueError, OverflowError, DuplicateExecution):
-            cycles = None
-        if cycles is None:
-            fh.seek(0)
-            cycles = _ingest_rows(csv.DictReader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise MissingColumn(COLUMNS[0])
+            for col in COLUMNS:
+                if col not in header:
+                    raise MissingColumn(col)
+            try:
+                cycles = _ingest_columns(fh, _line_ends(path) + 1, header)
+            except (ValueError, OverflowError, DuplicateExecution):
+                cycles = None
+            if cycles is None:
+                fh.seek(0)
+                cycles = _ingest_rows(csv.DictReader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"the log is not UTF-8 text: byte "
+                         f"0x{exc.object[exc.start]:02x} is {exc.reason}") from None
     return cycles
 
 
@@ -365,17 +371,22 @@ def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
     by_cycle: dict[int, list[tuple]] = {}  # cycle id -> its rows' column values
     seen: set[tuple[int, int]] = set()
     first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
-    for rownum, row in enumerate(reader, start=2):
-        cycle_id, last_run, values = _parse_row(row, rownum)
-        first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
-        if len(first_of_kind) == 2:
-            raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
-                                       f"{min(first_of_kind.values())}'s in having a UTC offset")
-        key = (values[0], cycle_id)
-        if key in seen:
-            raise DuplicateExecution(*key)
-        seen.add(key)
-        by_cycle.setdefault(cycle_id, []).append(values)
+    rownum = 1  # the header's
+    try:
+        for rownum, row in enumerate(reader, start=2):
+            cycle_id, last_run, values = _parse_row(row, rownum)
+            first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
+            if len(first_of_kind) == 2:
+                raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
+                                           f"{min(first_of_kind.values())}'s in having a "
+                                           f"UTC offset")
+            key = (values[0], cycle_id)
+            if key in seen:
+                raise DuplicateExecution(*key)
+            seen.add(key)
+            by_cycle.setdefault(cycle_id, []).append(values)
+    except csv.Error as exc:  # raised while reading the row after rownum
+        raise MalformedRow(rownum + 1, str(exc)) from None
     return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
 
 
@@ -478,8 +489,7 @@ class ReplayState:
 
     def __init__(self, window_len: int):
         self.window_len = window_len
-        self.index: dict = {}
-        self.ids: list = []
+        self.index: dict = {}  # test id -> row; its order is the row order
         self.statuses = np.empty((0, window_len), dtype=np.int8)
         self.dur_sum = np.empty(0)
         self.dur_count = np.empty(0)
@@ -497,34 +507,27 @@ class ReplayState:
         state.advance_to(as_of_cycle)
         return state
 
-    def ensure_rows(self, test_ids) -> None:
-        test_ids = tuple(test_ids)
-        if self.index.keys() >= set(test_ids):
-            return
-        fresh = [tid for tid in dict.fromkeys(test_ids) if tid not in self.index]
-        self.index.update(zip(fresh, range(len(self.ids), len(self.ids) + len(fresh))))
-        self.ids += fresh
-        pad = np.full((len(fresh), self.window_len), NOT_RUN, dtype=np.int8)
-        self.statuses = np.vstack([self.statuses, pad])
-        self.dur_sum = np.concatenate([self.dur_sum, np.zeros(len(fresh))])
-        self.dur_count = np.concatenate([self.dur_count, np.zeros(len(fresh))])
-        self.last_run = np.concatenate([self.last_run, np.full(len(fresh), NEVER_RAN)])
-
     def _rows(self, test_ids: tuple) -> np.ndarray:
-        self.ensure_rows(test_ids)
-        return np.fromiter(map(self.index.__getitem__, test_ids), dtype=np.intp,
-                           count=len(test_ids))
+        try:
+            return np.fromiter(map(self.index.__getitem__, test_ids), dtype=np.intp,
+                               count=len(test_ids))
+        except KeyError:  # unseen ids get padded rows, in order of first appearance
+            known = len(self.index)
+            for tid in test_ids:
+                self.index.setdefault(tid, len(self.index))
+            fresh = len(self.index) - known
+            pad = np.full((fresh, self.window_len), NOT_RUN, dtype=np.int8)
+            self.statuses = np.vstack([self.statuses, pad])
+            self.dur_sum = np.concatenate([self.dur_sum, np.zeros(fresh)])
+            self.dur_count = np.concatenate([self.dur_count, np.zeros(fresh)])
+            self.last_run = np.concatenate([self.last_run, np.full(fresh, NEVER_RAN)])
+            return self._rows(test_ids)
 
     def advance_to(self, cycle_id: int) -> None:
         if cycle_id < self.cycle:
             raise ValueError("replay state cannot move backwards")
-        shift = cycle_id - self.cycle
-        if shift == 0 or len(self.ids) == 0:
-            self.cycle = cycle_id
-            return
-        if shift >= self.window_len:
-            self.statuses[:] = NOT_RUN
-        else:
+        shift = min(cycle_id - self.cycle, self.window_len)
+        if shift:  # a shift by the whole window moves nothing and clears every slot
             self.statuses[:, :-shift] = self.statuses[:, shift:]
             self.statuses[:, -shift:] = NOT_RUN
         self.cycle = cycle_id
@@ -555,7 +558,6 @@ def build_status_matrix(
     cycles: Sequence[CycleLog],
     window_len: int = DEFAULT_WINDOW,
     as_of_cycle: int | None = None,
-    include_tests: Iterable | None = None,
 ) -> StatusMatrix:
     """Build per-test status windows ending at ``as_of_cycle``.
 
@@ -563,10 +565,8 @@ def build_status_matrix(
     a cycle id with no record for a test (including ids absent from the
     log altogether, and ids < 1) contributes -1. Mean duration and last
     run are taken over the full history up to ``as_of_cycle``, not just
-    the window. ``include_tests`` forces rows for tests with no history
-    yet (all -1, duration 0), which replay needs for first-time tests.
-    Rows follow first appearance in the history, then ``include_tests``.
-    This is a snapshot of a ReplayState fed the same cycles.
+    the window. Rows follow first appearance in the history. This is a
+    snapshot of a ReplayState fed the same cycles.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be >= 1, got {window_len}")
@@ -578,6 +578,4 @@ def build_status_matrix(
     if not ids or ids[0] > as_of_cycle:
         raise EmptyHistory(f"no cycles at or before {as_of_cycle}")
     state = ReplayState.from_cycles(cycles, window_len, as_of_cycle)
-    if include_tests is not None:
-        state.ensure_rows(include_tests)
-    return state.matrix_for(state.ids)
+    return state.matrix_for(state.index)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .augment import AugmentConfig, augment, fail_ratio
-from .config import get_bool, get_float, get_int
+from .config import LookupLog, get_bool, get_float, get_int
 from .errors import InputError, InsufficientHistory, MalformedRow, MissingPriorityColumn
 from .features import (
     FeatureBounds,
@@ -105,11 +105,14 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
 
     ``train.rng_seed`` and ``augment.rng_seed`` default to the master seed
     (the ``seed`` override, else the ``seed`` key), so one seed reaches
-    every RNG unless a sub-seed is set explicitly.
+    every RNG unless a sub-seed is set explicitly. A key that nothing below
+    reads raises InputError, so a misspelt key cannot leave its default in
+    place.
     """
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = get_int(cfg, "seed", 0)
+    cfg = LookupLog(cfg)
+    seed = get_int(cfg, "seed", 0)
+    if overrides.get("seed") is not None:
+        seed = overrides["seed"]
     try:
         aug = AugmentConfig(
             k_neighbors=get_int(cfg, "augment.k_neighbors", 5),
@@ -148,6 +151,9 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
         plan.strategies = tuple(
             s.strip() for s in cfg["replay.strategies"].split(",") if s.strip()
         )
+    unknown = sorted(cfg.keys() - cfg.looked_up)
+    if unknown:
+        raise InputError(f"unknown config key {', '.join(map(repr, unknown))}")
     for key, value in overrides.items():
         if value is not None:
             setattr(plan, key, value)
@@ -359,7 +365,7 @@ _STRATEGY_ALIASES = {"untreated-order": STRATEGY_UNTREATED}
 
 
 def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
-    plan.strategies = tuple(_STRATEGY_ALIASES.get(s, s) for s in plan.strategies)
+    plan = replace(plan, strategies=tuple(_STRATEGY_ALIASES.get(s, s) for s in plan.strategies))
     for strategy in plan.strategies:
         if strategy not in ALL_STRATEGIES:
             raise InputError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}")
@@ -653,15 +659,18 @@ def _read_priorities(path: str | Path) -> dict:
     return {test_id: prio for test_id, (_, prio) in latest.items()}
 
 
-def compare_against_ground_truth(plan: ExperimentPlan,
-                                 model: SavedModel | None = None) -> GroundTruthReport:
+def compare_against_ground_truth(plan: ExperimentPlan, model: SavedModel | None = None,
+                                 cycles: Sequence[CycleLog] | None = None
+                                 ) -> GroundTruthReport:
     """Per-test |actual - computed| for the history-weighted rule and, when a
     model is given, for its predictions. The actual priorities are the
-    ``CalcPrio`` column of the CSV log ``plan.dataset``."""
+    ``CalcPrio`` column of the CSV log ``plan.dataset``; ``cycles`` are that
+    log's cycles, if the caller has ingested it already."""
     if not isinstance(plan.dataset, (str, Path)):
         raise MissingPriorityColumn("only a CSV log carries 'CalcPrio' values, "
                                     "not an in-memory dataset")
-    cycles = ingest_csv(plan.dataset)
+    if cycles is None:
+        cycles = ingest_csv(plan.dataset)
     actual = _read_priorities(plan.dataset)
     if not actual:
         raise MissingPriorityColumn("dataset carries no usable 'CalcPrio' values")

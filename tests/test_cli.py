@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from testprio import cli, pipeline
 from testprio.cli import main
 from testprio.features import DERIVED_FEATURES, load_features_csv
-from testprio.history import emit_csv
+from testprio.history import emit_csv, ingest_csv
 from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
 
 from conftest import emit_with_calc_prio
@@ -68,6 +69,22 @@ def test_ingest_short_row_exits_2(tmp_path, capsys):
     bad.write_bytes(b"Id,Name,Duration,LastRun,Verdict,Cycle\r\n1,,0.0\r\n")
     assert main(["ingest", str(bad)]) == 2
     assert "row 2" in capsys.readouterr().err
+
+
+HEADER = b"Id,Name,Duration,LastRun,Verdict,Cycle\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"1," + b"T" * 200_000 + b",1.0,2016-01-02,0,1\n",
+     "error: row 2: field larger than field limit (131072)\n"),
+    ("1,Caf\u00e9,1.0,2016-01-02,0,1\n".encode("latin-1"),
+     "error: the log is not UTF-8 text: byte 0xe9 is invalid continuation byte\n"),
+], ids=["long-field", "latin-1"])
+def test_ingest_unreadable_log_exits_2(tmp_path, capsys, body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(HEADER + body)
+    assert main(["ingest", str(bad)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_label_writes_features(dataset, tmp_path):
@@ -159,6 +176,24 @@ def test_evaluate_model_accuracy(dataset, trained_model, capsys):
     assert "r_squared" in capsys.readouterr().out
 
 
+def test_evaluate_model_and_ground_truth_ingest_the_log_once(trained_model, tmp_path,
+                                                           monkeypatch, capsys):
+    path = emit_with_calc_prio(generate_history(SMALL, seed=9), tmp_path / "prio.csv",
+                               lambda cycle_id, test_id: "0.5")
+    calls = []
+
+    def counted(log):
+        calls.append(log)
+        return ingest_csv(log)
+
+    monkeypatch.setattr(cli, "ingest_csv", counted)
+    monkeypatch.setattr(pipeline, "ingest_csv", counted)
+    assert main(["evaluate", str(path), "--model", str(trained_model), "--ground-truth"]) == 0
+    out = capsys.readouterr().out
+    assert "r_squared" in out and "mean_abs_diff" in out
+    assert calls == [str(path)]
+
+
 def test_evaluate_requires_something(dataset):
     assert main(["evaluate", str(dataset)]) == 2
 
@@ -237,8 +272,12 @@ def test_replay_rejects_a_budget_fraction_that_is_not_finite_and_non_negative(
     (["replay"], "replay.random_repeats = -3"),
     (["replay"], "replay.window_len = 0"),
     (["replay", "--retrain-every", "-1"], ""),
+    (["replay"], "train.learnig_rate = 0.5"),
+    (["replay"], "replay.budget = 0.1"),
+    (["replay"], "augment.enable = false"),
 ], ids=["label-window", "train-window", "study-window-0", "study-window-text",
-        "k-neighbors", "learning-rate", "random-repeats", "config-window", "retrain-every"])
+        "k-neighbors", "learning-rate", "random-repeats", "config-window", "retrain-every",
+        "typo-learning-rate", "typo-budget", "typo-augment-enabled"])
 def test_bad_window_and_config_values_exit_2(dataset, tmp_path, capsys, argv, config):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config + "\n")

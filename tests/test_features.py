@@ -17,11 +17,25 @@ from testprio.features import (
     load_features_csv,
     stack,
 )
-from testprio.history import FAIL, NEVER_RAN, NOT_RUN, PASS, build_status_matrix, from_epoch_us
+from testprio.history import (
+    FAIL,
+    NEVER_RAN,
+    NOT_RUN,
+    PASS,
+    ReplayState,
+    build_status_matrix,
+    from_epoch_us,
+)
 from testprio.rocket import label_dataset, linear_weights
 
 from conftest import cycles_from
 from test_history import random_cycles
+
+
+def with_unseen_test(cycles):
+    """The status matrix of every test in ``cycles`` plus test 999, which never ran."""
+    state = ReplayState.from_cycles(cycles, 10, cycles[-1].cycle_id)
+    return state.matrix_for([*state.index, 999])
 
 
 # --- scalar references: one test's derived features, which feature_matrix
@@ -197,7 +211,7 @@ class TestExtract:
         rng = random.Random(12)
         for _ in range(20):
             cycles = random_cycles(rng)
-            matrix = build_status_matrix(cycles, 10, include_tests=[999])
+            matrix = with_unseen_test(cycles)
             early = build_status_matrix(cycles[: max(1, len(cycles) // 2)], 10)
             for bounds in (bounds_from_matrix(matrix), bounds_from_matrix(early)):
                 expected = np.array([
@@ -231,7 +245,7 @@ class TestFeatureSet:
 
     def test_stack_of_a_set_equals_stack_of_its_vectors(self):
         rng = random.Random(13)
-        matrix = build_status_matrix(random_cycles(rng), 10, include_tests=[999])
+        matrix = with_unseen_test(random_cycles(rng))
         labeled = label_dataset(matrix, linear_weights(10))
         X, y, ids = stack(labeled)
         assert X is labeled.X and y is labeled.labels and ids == list(matrix.test_ids)

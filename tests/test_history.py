@@ -16,6 +16,7 @@ from testprio.errors import (
     BadVerdict,
     DuplicateExecution,
     EmptyHistory,
+    InputError,
     MalformedRow,
     MissingColumn,
     NegativeDuration,
@@ -24,6 +25,7 @@ from testprio.history import (
     COLUMNS,
     NEVER_RAN,
     CycleLog,
+    ReplayState,
     StatusMatrix,
     _parse_row,
     _parse_stamps,
@@ -340,9 +342,21 @@ def test_quoted_names_are_read_in_bulk_across_block_edges(tmp_path, monkeypatch,
     assert outcome(ingest_csv, path) == expected
 
 
-def test_a_field_longer_than_csvs_limit_raises_csvs_error(tmp_path):
-    path = write(tmp_path, f"1,{'T' * (csv.field_size_limit() + 1)},1.0,2016-01-02,0,1\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+def test_a_field_longer_than_csvs_limit_is_a_malformed_row(tmp_path):
+    path = write(tmp_path, "1,T1,1.0,2016-01-02,0,1\n"
+                           f"2,{'T' * (csv.field_size_limit() + 1)},1.0,2016-01-02,0,1\n")
+    with pytest.raises(MalformedRow, match="^row 3: field larger than field limit"):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize("rows_before", [0, 2000], ids=["first-row", "past-first-read"])
+def test_a_log_that_is_not_utf8_is_an_input_error(tmp_path, rows_before):
+    """A latin-1 name fails as one InputError wherever the undecodable byte
+    falls: in the first read, with the header, or in a later one."""
+    path = tmp_path / "log.csv"
+    rows = "".join(f"{i},T{i},1.0,2016-01-02,0,1\n" for i in range(rows_before))
+    path.write_bytes((HEADER + rows + "1,Caf\u00e9,1.0,2016-01-02,0,2\n").encode("latin-1"))
+    with pytest.raises(InputError, match="^the log is not UTF-8 text: byte 0xe9 is "):
         ingest_csv(path)
 
 
@@ -411,7 +425,8 @@ class TestStatusMatrix:
         assert matrix.statuses.tolist() == [[-1, 1, -1, 0]]
 
     def test_never_executed_padding(self, tiny_history):
-        matrix = build_status_matrix(tiny_history, window_len=10, include_tests=[99])
+        state = ReplayState.from_cycles(tiny_history, 10, tiny_history[-1].cycle_id)
+        matrix = state.matrix_for([*state.index, 99])
         row = matrix.statuses[matrix.test_ids.index(99)]
         assert row.tolist() == [-1] * 10
         assert matrix.mean_duration_s[matrix.test_ids.index(99)] == 0.0

@@ -5,13 +5,15 @@ import json
 import random
 from dataclasses import replace
 from datetime import datetime
+from pathlib import Path
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
+from testprio import pipeline
 from testprio.augment import AugmentConfig
-from testprio.config import get_bool, get_float, load_config, parse_config
+from testprio.config import LookupLog, get_bool, get_float, load_config, parse_config
 from testprio.errors import (
     InputError,
     InsufficientHistory,
@@ -131,15 +133,17 @@ class TestReplayState:
             as_of = rng.choice([c.cycle_id for c in cycles]) + rng.choice([0, 0, 3])
             order, statuses, mean, last_run = per_record_status_matrix(
                 cycles, window, as_of, extra)
-            snapshot = build_status_matrix(cycles, window, as_of_cycle=as_of,
-                                           include_tests=extra)
-            assert snapshot.test_ids == order
-            assert np.array_equal(snapshot.statuses, statuses)
-            assert np.array_equal(snapshot.mean_duration_s, mean)
-            assert np.array_equal(snapshot.last_run, last_run)
+            seen = len(per_record_status_matrix(cycles, window, as_of, ())[0])
+            snapshot = build_status_matrix(cycles, window, as_of_cycle=as_of)
+            assert snapshot.test_ids == order[:seen]
+            assert np.array_equal(snapshot.statuses, statuses[:seen])
+            assert np.array_equal(snapshot.mean_duration_s, mean[:seen])
+            assert np.array_equal(snapshot.last_run, last_run[:seen])
 
+            # the ids of later cycles and 99, 98 are unseen: matrix_for pads them
             state = ReplayState.from_cycles(cycles, window, as_of)
             incremental = state.matrix_for(order)
+            assert tuple(state.index) == order
             assert incremental.test_ids == order
             assert np.array_equal(incremental.statuses, statuses)
             assert np.array_equal(incremental.mean_duration_s, mean)
@@ -286,8 +290,12 @@ class TestRunPipeline:
         assert [line.split(",")[0] for line in timings] == ["phase", "PT", "RT", "TT"]
 
     def test_untreated_order_alias(self, tiny_cycles):
-        result = run_pipeline(tiny_plan(tiny_cycles, strategies=("untreated-order",)))
+        """The alias is normalized in the result's plan, not in the caller's."""
+        plan = tiny_plan(tiny_cycles, strategies=("untreated-order",))
+        result = run_pipeline(plan)
         assert {r["strategy"] for r in result.per_cycle} == {"untreated"}
+        assert result.plan.strategies == ("untreated",)
+        assert plan.strategies == ("untreated-order",)
 
     def test_augmentation_kicks_in_when_imbalanced(self):
         calm = SuiteProfile(name="calm", n_tests=12, n_cycles=40, participation=0.9,
@@ -446,6 +454,28 @@ class TestConfig:
         assert (plan.seed, plan.train_config.rng_seed, plan.augment_config.rng_seed) == (7, 3, 4)
         plan = plan_from_config(parse_config("seed = 7\n"), seed=5)
         assert (plan.seed, plan.train_config.rng_seed, plan.augment_config.rng_seed) == (5, 5, 5)
+
+    def test_keys_nothing_reads_are_rejected_by_name(self):
+        cfg = parse_config("seed = 7\ntrain.learnig_rate = 0.5\nreplay.budget = 0.1\n")
+        with pytest.raises(InputError,
+                           match="^unknown config key 'replay.budget', 'train.learnig_rate'$"):
+            plan_from_config(cfg)
+
+    def test_readme_lists_every_config_key(self, monkeypatch):
+        """README's Config keys block is a valid config that sets every key
+        plan_from_config reads."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = parse_config(readme.split("## Config keys", 1)[1].split("```")[1])
+        lookups = []
+
+        class Spy(LookupLog):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                lookups.append(self)
+
+        monkeypatch.setattr(pipeline, "LookupLog", Spy)
+        plan_from_config(cfg)
+        assert lookups[0].looked_up == cfg.keys()
 
 
 # sha256 of the per_cycle rows of the strategies that do not train, serialized

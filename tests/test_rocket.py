@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testprio.errors import InputError, LengthMismatch
-from testprio.history import build_status_matrix
+from testprio.history import ReplayState, build_status_matrix
 from testprio.rocket import (
     WeightScheme,
     geometric_weights,
@@ -140,7 +140,8 @@ class TestPriority:
 class TestLabelDataset:
     def test_never_executed_labels_zero(self):
         cycles = cycles_from([(1, 10, False)])
-        matrix = build_status_matrix(cycles, 10, include_tests=[2, 3])
+        state = ReplayState.from_cycles(cycles, 10, 10)
+        matrix = state.matrix_for([*state.index, 2, 3])
         labeled = label_dataset(matrix, linear_weights(10))
         by_id = dict(zip(labeled.test_ids, labeled.labels.tolist()))
         assert by_id[2] == 0.0 and by_id[3] == 0.0
