@@ -30,6 +30,7 @@ from .pipeline import (
     run_pipeline,
     training_vectors,
     train_model,
+    write_training_log,
 )
 from .prioritize import (
     rank,
@@ -115,9 +116,7 @@ def cmd_train(args) -> int:
     model_path = out / "model.txt"
     save_model(model, model_path)
     log_path = out / "training_log.csv"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mse\n")
-        fh.writelines(f"{i + 1},{m!r}\n" for i, m in enumerate(result.epoch_mse))
+    write_training_log(log_path, result)
     print(f"trained {model.net.parameter_count}-parameter network "
           f"({'x'.join(str(d) for d in model.net.dims)}) in {result.stopped_epoch} "
           f"epochs ({result.reason}); final MSE {result.final_mse:.6g}")
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

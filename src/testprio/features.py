@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MalformedRow, MissingColumn, WindowLenMismatch
 from .history import (DEFAULT_WINDOW, FAIL, NEVER_RAN, NOT_RUN, PASS, StatusMatrix,
-                      from_epoch_us, to_epoch_us)
+                      csv_rows, from_epoch_us, to_epoch_us)
 
 DERIVED_FEATURES = 4  # duration, last run, distance, change-in-status
 
@@ -160,8 +160,8 @@ def load_features_csv(path: str | Path) -> FeatureSet:
     on none; a row that differs from the first is malformed, and so is a
     non-finite feature or Priority."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        reader = csv_rows(csv.reader(fh))
+        _, header = next(reader, (1, None))
         if header is None:
             raise MissingColumn("Id")
         es_cols = [c for c in header if c.startswith("ES")]
@@ -171,7 +171,7 @@ def load_features_csv(path: str | Path) -> FeatureSet:
             raise MissingColumn("ES1")
         w = len(es_cols)
         ids, rows, labels = [], [], []
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in reader:
             if len(row) != len(header):
                 raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
             try:
@@ -182,7 +182,7 @@ def load_features_csv(path: str | Path) -> FeatureSet:
                 raise MalformedRow(rownum, str(exc)) from None
             if (labels[-1] is None) != (labels[0] is None):
                 raise MalformedRow(rownum, "Priority must be set on every row or on none")
-            ids.append(_parse_id(row[0]))
+            ids.append(parse_id(row[0]))
     X = np.array(rows, dtype=np.float64).reshape(len(rows), w + DERIVED_FEATURES)
     labeled = bool(labels) and labels[0] is not None
     y = np.array(labels, dtype=np.float64) if labeled else None
@@ -192,7 +192,8 @@ def load_features_csv(path: str | Path) -> FeatureSet:
     return FeatureSet(X, ids, y)
 
 
-def _parse_id(raw: str):
+def parse_id(raw: str):
+    """A test id read from CSV: an int where the text is one, else the text."""
     try:
         return int(raw)
     except ValueError:

@@ -36,7 +36,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,6 +210,19 @@ def _parse_stamps(texts: Sequence[str]) -> np.ndarray:
     raise ValueError("a LastRun stamp numpy may misread")
 
 
+def csv_rows(reader: Iterable, start: int = 1) -> Iterator[tuple[int, list | dict]]:
+    """Each row of a csv reader with its row number, counting from ``start``
+    (the header is row 1). A csv.Error, such as a field longer than
+    csv.field_size_limit(), becomes MalformedRow naming the row it was
+    raised in."""
+    rownum = start - 1
+    try:
+        for rownum, row in enumerate(reader, start=start):
+            yield rownum, row
+    except csv.Error as exc:
+        raise MalformedRow(rownum + 1, str(exc)) from None
+
+
 def ingest_csv(path: str | Path) -> list[CycleLog]:
     """Parse an execution log CSV into cycle-grouped columns.
 
@@ -231,7 +244,7 @@ def ingest_csv(path: str | Path) -> list[CycleLog]:
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+            _, header = next(csv_rows(csv.reader(fh)), (1, None))
             if header is None:
                 raise MissingColumn(COLUMNS[0])
             for col in COLUMNS:
@@ -371,22 +384,18 @@ def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
     by_cycle: dict[int, list[tuple]] = {}  # cycle id -> its rows' column values
     seen: set[tuple[int, int]] = set()
     first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
-    rownum = 1  # the header's
-    try:
-        for rownum, row in enumerate(reader, start=2):
-            cycle_id, last_run, values = _parse_row(row, rownum)
-            first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
-            if len(first_of_kind) == 2:
-                raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
-                                           f"{min(first_of_kind.values())}'s in having a "
-                                           f"UTC offset")
-            key = (values[0], cycle_id)
-            if key in seen:
-                raise DuplicateExecution(*key)
-            seen.add(key)
-            by_cycle.setdefault(cycle_id, []).append(values)
-    except csv.Error as exc:  # raised while reading the row after rownum
-        raise MalformedRow(rownum + 1, str(exc)) from None
+    for rownum, row in csv_rows(reader, start=2):
+        cycle_id, last_run, values = _parse_row(row, rownum)
+        first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
+        if len(first_of_kind) == 2:
+            raise MalformedRow(rownum, f"LastRun {row['LastRun']!r} differs from row "
+                                       f"{min(first_of_kind.values())}'s in having a "
+                                       f"UTC offset")
+        key = (values[0], cycle_id)
+        if key in seen:
+            raise DuplicateExecution(*key)
+        seen.add(key)
+        by_cycle.setdefault(cycle_id, []).append(values)
     return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
 
 

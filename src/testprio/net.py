@@ -19,19 +19,18 @@ elementwise pass then runs over contiguous rows as wide as the batch,
 where a row-major [a | 1] would make it stride over 10-20 values at a
 time.
 
-Training minimizes mean-squared error with Adam, full-batch or in shuffled
-mini-batches (``TrainConfig.batch_size``; the replay uses 128). ``train``
-allocates the buffers of one step once, sized for ``batch_size`` rows (all
-rows in full-batch mode): the layer inputs, and each hidden layer's z,
-exp(min(z, 20)) and tanh(softplus(z)) for the backward pass. The last,
-shorter batch of an epoch uses their leading columns. The epoch loss is
-taken on the whole training set at the top of every epoch, before that
-epoch's updates, and training stops early once it drops below a
-configurable floor. Full-batch mode takes that loss from its step's own
-forward pass. Mini-batch mode and ``predict`` run the same layer chain
-without a cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one
-output vector, so their memory is a few block-sized buffers beyond that
-vector, whatever the row count.
+Training minimizes mean-squared error with Adam in shuffled mini-batches
+of ``TrainConfig.batch_size`` rows (default 128); a batch size of n or
+more takes the whole set as one batch. ``train`` allocates the buffers of
+one step once, sized for one batch: the layer inputs, and each hidden
+layer's z, exp(min(z, 20)) and tanh(softplus(z)) for the backward pass.
+The last, shorter batch of an epoch uses their leading columns. The epoch
+loss is taken on the whole training set through ``predict`` at the top of
+every epoch, before that epoch's updates, and training stops early once it
+drops below a configurable floor. ``predict`` runs the layer chain without
+a cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output
+vector, so its memory is a few block-sized buffers beyond that vector,
+whatever the row count.
 
 Models serialize to a versioned plain-text format that round-trips
 bit-exactly.
@@ -43,7 +42,7 @@ import copy
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -337,15 +336,15 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     mse_stop: float = 1e-4
-    batch_size: int | None = None  # None = full batch
+    batch_size: int = 128
     rng_seed: int = 0
 
     def __post_init__(self):
         if min(self.epochs_max, self.learning_rate, self.adam_beta1,
                self.adam_beta2, self.adam_eps, self.mse_stop) <= 0:
             raise ValueError("all training hyperparameters must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
 
 
 @dataclass
@@ -409,41 +408,12 @@ class TrainResult:
         return self.epoch_mse[-1]
 
 
-def _mean_square(r: np.ndarray) -> float:
-    return float(r @ r / r.size)
-
-
-def _full_set_loss(net: Network, X: np.ndarray, y: np.ndarray) -> float:
-    """MSE of the whole set through the no-cache chain; the prediction
-    vector becomes the residual and is dropped on return."""
-    r = predict(net, X)
-    r -= y
-    return _mean_square(r)
-
-
-def _mini_batch_epoch(net: Network, ws: _Workspace, X: np.ndarray, y: np.ndarray,
-                      rng: np.random.Generator, step: Callable[[_Workspace], None]) -> None:
-    """One shuffled pass of mini-batch updates, each made by ``step`` from
-    the residual in its batch's buffers; the shuffle order is the only
-    n-sized buffer, and it is dropped on return."""
-    order = rng.permutation(X.shape[0])
-    last = ws.narrow(len(order) % ws.rows or ws.rows)
-    for start in range(0, len(order), ws.rows):
-        idx = order[start : start + ws.rows]
-        batch = ws if idx.size == ws.rows else last
-        batch.inputs[0][:-1] = X[idx].T
-        np.take(y, idx, out=batch.labels)
-        _forward(net, batch)
-        _residual(batch, batch.labels)
-        step(batch)
-
-
 def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> TrainResult:
     """Train until the full-set MSE drops below ``mse_stop`` or epochs run out.
 
     The loss is evaluated on the whole training set at the top of every
     epoch, so the recorded ``epoch_mse`` sequence is comparable across
-    batch modes. Raises ValueError, before any update, on a non-finite
+    batch sizes. Raises ValueError, before any update, on a non-finite
     feature or a label outside [0, 1], and NonFiniteLoss (with
     diagnostics) the moment the loss stops being a number.
     """
@@ -463,30 +433,18 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
         raise ValueError(f"features must be finite; row {bad} is not")
 
     n = X.shape[0]
-    full_batch = config.batch_size is None
-    ws = _Workspace(net, n if full_batch else min(config.batch_size, n))
-    if full_batch:
-        ws.inputs[0][:-1] = X.T
+    ws = _Workspace(net, min(config.batch_size, n))
+    last = ws.narrow(n % ws.rows or ws.rows)
     rng = np.random.default_rng(config.rng_seed)
     state = AdamState.zeros(net)
     grad = np.empty_like(net.params)  # laid out like params; grad_blocks are its layer views
     grad_blocks, adam_scratch = _layer_blocks(grad, net.dims), np.empty((2, grad.size))
-
-    def step(batch: _Workspace) -> None:
-        """Backward from the residual in ``batch``, then one Adam update."""
-        _backward(net, batch, grad_blocks)
-        _adam(net.params, grad, state, config, adam_scratch)
-
     epoch_mse: list[float] = []
     # divergence is detected on the loss and raised; silence the transient
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            if full_batch:
-                _forward(net, ws)
-                loss = _mean_square(_residual(ws, y))
-            else:
-                loss = _full_set_loss(net, X, y)
+            loss = mse(predict(net, X), y)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch}: loss={loss}; max |param| = "
@@ -495,10 +453,17 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
             epoch_mse.append(loss)
             if loss < config.mse_stop:
                 return TrainResult(net, epoch_mse, epoch, "mse_stop")
-            if full_batch:
-                step(ws)
-            else:
-                _mini_batch_epoch(net, ws, X, y, rng, step)
+            order = rng.permutation(n)
+            for start in range(0, n, ws.rows):
+                idx = order[start : start + ws.rows]
+                batch = ws if idx.size == ws.rows else last
+                batch.inputs[0][:-1] = X[idx].T
+                np.take(y, idx, out=batch.labels)
+                _forward(net, batch)
+                _residual(batch, batch.labels)
+                _backward(net, batch, grad_blocks)
+                _adam(net.params, grad, state, config, adam_scratch)
+            del order, idx  # freed before the next loss pass allocates its n-sized vectors
     return TrainResult(net, epoch_mse, config.epochs_max, "epochs_max")
 
 

@@ -67,12 +67,6 @@ STRATEGY_RANDOM = "random"
 STRATEGY_UNTREATED = "untreated"
 ALL_STRATEGIES = (STRATEGY_DEEPORDER, STRATEGY_ROCKET, STRATEGY_RANDOM, STRATEGY_UNTREATED)
 
-# The train() op defaults to full batch; the harness overrides it because on
-# replay-sized training sets mini-batches reach the MSE floor orders of
-# magnitude faster within the same epoch cap. train.batch_size = 0 restores
-# full-batch behavior.
-DEFAULT_BATCH_SIZE = 128
-
 
 @dataclass
 class ExperimentPlan:
@@ -128,7 +122,7 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
             adam_beta2=get_float(cfg, "train.adam_beta2", 0.999),
             adam_eps=get_float(cfg, "train.adam_eps", 1e-8),
             mse_stop=get_float(cfg, "train.mse_stop", 1e-4),
-            batch_size=(get_int(cfg, "train.batch_size", DEFAULT_BATCH_SIZE) or None),
+            batch_size=get_int(cfg, "train.batch_size", 128),
             rng_seed=get_int(cfg, "train.rng_seed", seed),
         )
     except ValueError as exc:
@@ -198,7 +192,7 @@ def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan
         labeled = augment(labeled, aug_cfg)
         logger.info("augmented training set: %d -> %d vectors", before, len(labeled))
     X, y, _ = stack(labeled)
-    cfg = plan.train_config or TrainConfig(rng_seed=plan.seed, batch_size=DEFAULT_BATCH_SIZE)
+    cfg = plan.train_config or TrainConfig(rng_seed=plan.seed)
     net = xavier_init(default_dims(plan.window_len + 4), np.random.default_rng(cfg.rng_seed))
     result = train(net, X, y, cfg)
     model = SavedModel(net, bounds, weight_scheme=plan.weights, rng_seed=cfg.rng_seed)
@@ -520,6 +514,12 @@ def write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
 
 
+def write_training_log(path: Path, training: TrainResult) -> None:
+    """One ``epoch,mse`` row per epoch, each loss to the last bit."""
+    write_csv(path, ["epoch", "mse"],
+              [{"epoch": i + 1, "mse": repr(m)} for i, m in enumerate(training.epoch_mse)])
+
+
 def _write_artifacts(result: PipelineResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = result.paths
@@ -548,11 +548,7 @@ def _write_artifacts(result: PipelineResult, out_dir: Path) -> None:
         save_model(result.model, paths["model"])
     if result.training is not None:
         paths["training_log"] = out_dir / "training_log.csv"
-        write_csv(
-            paths["training_log"],
-            ["epoch", "mse"],
-            [{"epoch": i + 1, "mse": repr(m)} for i, m in enumerate(result.training.epoch_mse)],
-        )
+        write_training_log(paths["training_log"], result.training)
     if result.holdout is not None:
         paths["holdout"] = out_dir / "holdout.csv"
         write_csv(

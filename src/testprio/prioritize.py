@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, MalformedRow, MissingColumn, NonFinitePriority
+from .features import parse_id
+from .history import csv_rows
 
 OVER_BUDGET = "over_budget"
 
@@ -162,14 +164,14 @@ def write_suite_csv(suite: PrioritizedSuite, path: str | Path) -> None:
 
 def read_suite_csv(path: str | Path) -> PrioritizedSuite:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        reader = csv_rows(csv.reader(fh))
+        _, header = next(reader, (1, None))
         if header != _SUITE_HEADER:
             raise MissingColumn("rank")
         ids, priority, duration_s = [], [], []
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in reader:
             try:
-                tid, prio, dur = _parse_id(row[1]), float(row[2]), float(row[3])
+                tid, prio, dur = parse_id(row[1]), float(row[2]), float(row[3])
             except (IndexError, ValueError) as exc:
                 raise MalformedRow(rownum, str(exc)) from None
             if dur < 0:
@@ -184,10 +186,3 @@ def read_suite_csv(path: str | Path) -> PrioritizedSuite:
 def write_order(tests: Iterable, path: str | Path) -> None:
     """Plain one-id-per-line list for CI consumption."""
     Path(path).write_text("".join(f"{tid}\n" for tid in tests), encoding="utf-8")
-
-
-def _parse_id(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        return raw

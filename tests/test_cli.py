@@ -74,15 +74,17 @@ def test_ingest_short_row_exits_2(tmp_path, capsys):
 HEADER = b"Id,Name,Duration,LastRun,Verdict,Cycle\n"
 
 
-@pytest.mark.parametrize("body, message", [
-    (b"1," + b"T" * 200_000 + b",1.0,2016-01-02,0,1\n",
+@pytest.mark.parametrize("text, message", [
+    (HEADER + b"1," + b"T" * 200_000 + b",1.0,2016-01-02,0,1\n",
      "error: row 2: field larger than field limit (131072)\n"),
-    ("1,Caf\u00e9,1.0,2016-01-02,0,1\n".encode("latin-1"),
+    (HEADER[:-1] + b"," + b"X" * 140_000 + b"\n1,T1,1.0,2016-01-02,0,1\n",
+     "error: row 1: field larger than field limit (131072)\n"),
+    (HEADER + "1,Caf\u00e9,1.0,2016-01-02,0,1\n".encode("latin-1"),
      "error: the log is not UTF-8 text: byte 0xe9 is invalid continuation byte\n"),
-], ids=["long-field", "latin-1"])
-def test_ingest_unreadable_log_exits_2(tmp_path, capsys, body, message):
+], ids=["long-field", "long-header-field", "latin-1"])
+def test_ingest_unreadable_log_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(HEADER + body)
+    bad.write_bytes(text)
     assert main(["ingest", str(bad)]) == 2
     assert capsys.readouterr().err == message
 
@@ -126,6 +128,17 @@ def test_train_writes_model_and_log(trained_model):
     assert (trained_model.parent / "training_log.csv").exists()
 
 
+def test_train_and_replay_write_one_training_log_format(dataset, fast_config, trained_model,
+                                                        tmp_path):
+    assert main(["replay", str(dataset), "--config", str(fast_config),
+                 "--out-dir", str(tmp_path), "--strategies", "deeporder"]) == 0
+    for log in (trained_model.parent / "training_log.csv", tmp_path / "training_log.csv"):
+        header, *rows, end = log.read_bytes().split(b"\r\n")
+        assert (header, end) == (b"epoch,mse", b"") and rows
+        assert [row.split(b",")[0] for row in rows] == [
+            str(epoch).encode() for epoch in range(1, len(rows) + 1)]
+
+
 def test_prioritize_and_select(dataset, trained_model, tmp_path):
     assert main(["prioritize", str(dataset), "--model", str(trained_model),
                  "--out-dir", str(tmp_path)]) == 0
@@ -161,7 +174,9 @@ FEATURES_HEADER = "Id,ES1,ES2,Duration,LastRun,Distance,ChangeInStatus,Priority\
      "row 3: features and Priority must be finite"),
     ("1,0,1,0.5,0.5,1,1,inf\n2,0,1,0.2,0.4,1,1,0.7\n",
      "row 2: features and Priority must be finite"),
-], ids=["empty-priority", "header-only", "nan-duration", "inf-priority"])
+    ("1,0,1,0.5,0.5,1,1,0.6\n" + "x" * 140_000 + ",0,1,0.2,0.4,1,1,0.7\n",
+     "row 3: field larger than field limit (131072)"),
+], ids=["empty-priority", "header-only", "nan-duration", "inf-priority", "long-field"])
 def test_augment_rejects_features_it_cannot_rebalance(tmp_path, capsys, rows, message):
     features = tmp_path / "features.csv"
     features.write_text(FEATURES_HEADER + rows)
@@ -169,6 +184,34 @@ def test_augment_rejects_features_it_cannot_rebalance(tmp_path, capsys, rows, me
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "augmented.csv").exists()
+
+
+SUITE_HEADER = "rank,test_id,priority,duration_s\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["select", "{input}", "--budget", "10"],
+     (SUITE_HEADER + "1,a,0.9,1.5\n2," + "b" * 140_000 + ",0.5,2.0\n").encode(),
+     "row 3: field larger than field limit (131072)"),
+    (["select", "{input}", "--budget", "10"],
+     (SUITE_HEADER + "1,caf\u00e9,0.9,1.5\n").encode("latin-1"), "byte 0xe9"),
+    (["augment", "{input}"],
+     (FEATURES_HEADER + "caf\u00e9,0,1,0.5,0.5,1,1,0.6\n").encode("latin-1"), "byte 0xe9"),
+    (["prioritize", "{dataset}", "--model", "{input}"],
+     "tpmodel 1\nseed 0\nscheme caf\u00e9\n".encode("latin-1"), "byte 0xe9"),
+    (["replay", "{dataset}", "--config", "{input}"],
+     "seed = 1  # caf\u00e9\n".encode("latin-1"), "byte 0xe9"),
+], ids=["select-long-field", "select-latin-1", "augment-latin-1", "prioritize-latin-1-model",
+        "replay-latin-1-config"])
+def test_unreadable_input_exits_2(dataset, tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "input"
+    bad.write_bytes(text)
+    out = tmp_path / "out"
+    argv = [arg.format(input=bad, dataset=dataset) for arg in argv]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_evaluate_model_accuracy(dataset, trained_model, capsys):
@@ -275,9 +318,10 @@ def test_replay_rejects_a_budget_fraction_that_is_not_finite_and_non_negative(
     (["replay"], "train.learnig_rate = 0.5"),
     (["replay"], "replay.budget = 0.1"),
     (["replay"], "augment.enable = false"),
+    (["replay"], "train.batch_size = 0"),
 ], ids=["label-window", "train-window", "study-window-0", "study-window-text",
         "k-neighbors", "learning-rate", "random-repeats", "config-window", "retrain-every",
-        "typo-learning-rate", "typo-budget", "typo-augment-enabled"])
+        "typo-learning-rate", "typo-budget", "typo-augment-enabled", "batch-size-0"])
 def test_bad_window_and_config_values_exit_2(dataset, tmp_path, capsys, argv, config):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config + "\n")

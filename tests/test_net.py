@@ -391,7 +391,12 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss):
             train(net, np.ones((2, 2)), np.array([0.5, 0.5]), TrainConfig())
 
-    @pytest.mark.parametrize("batch_size", [None, 2])
+    @pytest.mark.parametrize("batch_size", [None, 0, 2.0])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [2])
     def test_divergence_diagnostic_sees_a_blown_up_bias(self, batch_size):
         net = xavier_init((2, 3, 1), np.random.default_rng(0))
         net.biases[-1][0] = 1e300
@@ -424,12 +429,12 @@ class TestTrain:
             train(net, np.zeros((5, 4)), np.full(5, 0.5), TrainConfig(batch_size=2))
 
     def test_mini_batch_memory_is_bounded_beyond_the_data(self):
-        """Mini-batch training holds one n-float vector at a time (the
-        epoch-top predictions, then the shuffle order) plus buffers whose
-        size does not grow with n: the 128-row step and the no-cache loss
-        pass's blocks. Measured: 1.00 MB beyond X, y and one n-float vector;
-        the bound is twice that. One n x 20 layer buffer would be
-        8 MB."""
+        """Training peaks in the epoch-top loss pass: predict's output
+        vector plus its block buffers. The residual and the shuffle order
+        are allocated after those blocks are freed, and the 128-row step
+        buffers do not grow with n. Measured: 1.00 MB beyond X, y and one
+        n-float vector; the bound is twice that. One n x 20 layer buffer
+        would be 8 MB."""
         n = 50_000
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, (n, 14))
@@ -590,8 +595,8 @@ def unfolded_backward(weights, activations, pre, labels):
 def plain_train(net, X, y, config, folded=True):
     """Adam on MSE with one update loop per parameter array, written out.
 
-    The loss is taken at the top of every epoch from a forward pass that
-    keeps its cache; full-batch mode reuses that cache for the update.
+    The loss is taken at the top of every epoch from a forward pass over
+    the whole set, then one shuffled pass of mini-batch updates follows.
     ``folded=False`` runs the unfolded chain instead.
     """
     weights = [w.copy() for w in net.weights]
@@ -625,19 +630,16 @@ def plain_train(net, X, y, config, folded=True):
     rng = np.random.default_rng(config.rng_seed)
     epoch_mse = []
     for _ in range(config.epochs_max):
-        preds, grads = gradients(X, y)
+        preds, _ = gradients(X, y)
         diff = preds - y
         loss = float(diff @ diff / diff.size)
         epoch_mse.append(loss)
         if loss < config.mse_stop:
             break
-        if config.batch_size is None:
-            update(*grads())
-        else:
-            order = rng.permutation(X.shape[0])
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start : start + config.batch_size]
-                update(*gradients(X[idx], y[idx])[1]())
+        order = rng.permutation(X.shape[0])
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            update(*gradients(X[idx], y[idx])[1]())
     return weights, biases, epoch_mse
 
 
@@ -653,9 +655,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("dims", [(6, 5, 1), (14, 10, 20, 15, 1), (3, 7, 4, 1)])
     # 90 rows: one row per batch, a last batch of 10, one batch of exactly
     # n, and a batch size above n
-    @pytest.mark.parametrize("batch_size", [None, 1, 16, 90, 128])
+    @pytest.mark.parametrize("batch_size", [1, 16, 90, 128])
     def test_train_matches_plain_training_step(self, dims, batch_size):
-        rng = np.random.default_rng(sum(dims) + (batch_size or 0))
+        rng = np.random.default_rng(sum(dims) + batch_size)
         X = rng.uniform(-1, 1, (90, dims[0]))
         y = rng.uniform(size=90)
         epochs = 3 if batch_size == 1 else 25
@@ -668,8 +670,8 @@ class TestBitIdentity:
         assert all(np.array_equal(a, b) for a, b in zip(result.net.biases, biases))
 
     def test_mini_batch_loss_over_several_blocks_matches_plain_forward(self):
-        """The epoch-top loss of mini-batch mode runs block by block; it must
-        equal the loss of one plain full-set forward pass."""
+        """The epoch-top loss runs block by block; it must equal the loss of
+        one plain full-set forward pass."""
         rng = np.random.default_rng(47)
         assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
         n = 2 * FORWARD_BLOCK_ROWS + 123

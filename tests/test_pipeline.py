@@ -425,7 +425,7 @@ class TestConfig:
             "rocket.weights = geometric(0.7)\n"
             "replay.budget_fraction = 0.25\n"
             "replay.strategies = rocket, untreated\n"
-            "train.batch_size = 0\n"
+            "train.batch_size = 64\n"
             "augment.enabled = false\n"
             "seed = 9\n"
         )
@@ -433,7 +433,7 @@ class TestConfig:
         assert plan.weights == "geometric(0.7)"
         assert plan.budget_fraction == 0.25
         assert plan.strategies == ("rocket", "untreated")
-        assert plan.train_config.batch_size is None
+        assert plan.train_config.batch_size == 64
         assert plan.augment_enabled is False
         assert plan.seed == 9
 
@@ -461,11 +461,15 @@ class TestConfig:
                            match="^unknown config key 'replay.budget', 'train.learnig_rate'$"):
             plan_from_config(cfg)
 
+    def test_an_empty_config_builds_the_dataclass_defaults(self):
+        plan = plan_from_config({})
+        assert plan.train_config == TrainConfig(rng_seed=plan.seed)
+        assert plan.augment_config == AugmentConfig(rng_seed=plan.seed)
+
     def test_readme_lists_every_config_key(self, monkeypatch):
         """README's Config keys block is a valid config that sets every key
         plan_from_config reads."""
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        cfg = parse_config(readme.split("## Config keys", 1)[1].split("```")[1])
+        cfg = readme_config()
         lookups = []
 
         class Spy(LookupLog):
@@ -476,6 +480,18 @@ class TestConfig:
         monkeypatch.setattr(pipeline, "LookupLog", Spy)
         plan_from_config(cfg)
         assert lookups[0].looked_up == cfg.keys()
+
+    def test_readme_config_block_holds_the_defaults(self):
+        """README lists each key at its default, replay.dataset aside."""
+        cfg = readme_config()
+        del cfg["replay.dataset"]
+        assert plan_from_config(cfg) == plan_from_config({})
+
+
+def readme_config() -> dict[str, str]:
+    """The config in README's Config keys block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return parse_config(readme.split("## Config keys", 1)[1].split("```")[1])
 
 
 # sha256 of the per_cycle rows of the strategies that do not train, serialized
