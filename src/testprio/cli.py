@@ -30,6 +30,7 @@ from .pipeline import (
     run_pipeline,
     training_vectors,
     train_model,
+    write_csv,
     write_training_log,
 )
 from .prioritize import (
@@ -153,12 +154,9 @@ def cmd_select(args) -> int:
         raise InputError(str(exc)) from None
     selected = result.order()
     out = _out_dir(args)
-    with open(out / "selection.csv", "w", encoding="utf-8") as fh:
-        fh.write("test_id,included,reason\n")
-        for tid in selected:
-            fh.write(f"{tid},1,\n")
-        for tid, reason in result.skipped:
-            fh.write(f"{tid},0,{reason}\n")
+    rows = [{"test_id": tid, "included": 1} for tid in selected]
+    rows += [{"test_id": tid, "included": 0, "reason": r} for tid, r in result.skipped]
+    write_csv(out / "selection.csv", ["test_id", "included", "reason"], rows)
     write_order(selected, out / "selected_order.txt")
     print(f"selected {len(selected)}/{len(suite)} tests, "
           f"used {result.used_s:.3f}s of {result.budget_s:.3f}s budget; "

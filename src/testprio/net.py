@@ -22,15 +22,21 @@ time.
 Training minimizes mean-squared error with Adam in shuffled mini-batches
 of ``TrainConfig.batch_size`` rows (default 128); a batch size of n or
 more takes the whole set as one batch. ``train`` allocates the buffers of
-one step once, sized for one batch: the layer inputs, and each hidden
-layer's z, exp(min(z, 20)) and tanh(softplus(z)) for the backward pass.
-The last, shorter batch of an epoch uses their leading columns. The epoch
-loss is taken on the whole training set through ``predict`` at the top of
-every epoch, before that epoch's updates, and training stops early once it
-drops below a configurable floor. ``predict`` runs the layer chain without
-a cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output
-vector, so its memory is a few block-sized buffers beyond that vector,
-whatever the row count.
+one step once, sized for one batch: the layer inputs, and each layer's z
+and delta and each hidden layer's exp(min(z, 20)), tanh(softplus(z)) and
+scratch for the backward pass. Each of those five kinds is one stacked
+array whose row blocks are the layers, so the backward takes every hidden
+layer's Mish derivative in one pass; the layer views and transposed
+weight blocks are bound once per workspace. Adam's two moments are the
+rows of one (2, P) array, decayed by one product and fed by one sum. The
+last, shorter batch of an epoch uses the buffers' leading columns. The
+epoch loss is taken on the whole training set through ``predict`` at the
+top of every epoch, before that epoch's updates: the residual is formed in
+``predict``'s output vector, and training stops early once the loss drops
+below a configurable floor. ``predict`` runs the layer chain without a
+cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output vector,
+so its memory is a few block-sized buffers beyond that vector, whatever
+the row count.
 
 Models serialize to a versioned plain-text format that round-trips
 bit-exactly.
@@ -188,9 +194,10 @@ def xavier_init(dims: Sequence[int], rng: np.random.Generator) -> Network:
 
 # --- layer chain ----------------------------------------------------------
 
-# Rows per block of the no-cache forward pass. The matrix products compute
-# each prediction from its own row of X alone, so blocking leaves every
-# prediction bit-equal to a full-set pass.
+# Rows per block of the no-cache forward pass. The epoch loss and
+# ``predict`` share this one fixed blocking. Other blockings may round
+# differently: on a 203,923-row set, one full-set forward differed from
+# ``predict`` in its last 3 rows, by up to 8.3e-17.
 FORWARD_BLOCK_ROWS = 1024
 
 
@@ -213,69 +220,82 @@ def _with_ones(width: int, cols: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers of one training step over ``rows`` rows of X.
+    """Buffers of one training step of ``net`` over ``rows`` rows of X.
 
     Every buffer is feature-major: column j belongs to row j of the batch,
     so an elementwise pass over a layer runs over whole contiguous rows.
     ``inputs[i]`` is layer i's input [a | 1] transposed, its last row
     ones, and ``z[i] = blocks[i].T @ inputs[i]`` is the transposed
-    [a | 1] @ [W; b]; the forward writes each hidden activation into the
-    leading rows of the next input. ``exp`` and ``tanh_sp`` keep each
-    hidden layer's exp(min(z, clip)) and tanh(softplus(z)). ``delta[i]``
-    is the loss gradient w.r.t. z of layer i; the output layer's holds the
-    residual preds - labels until the backward pass scales it."""
+    [a | 1] @ [W; b]; the forward writes each hidden activation into
+    ``acts[i]``, the leading rows of the next input. ``exp`` and
+    ``tanh_sp`` keep each hidden layer's exp(min(z, clip)) and
+    tanh(softplus(z)). ``delta[i]`` is the loss gradient w.r.t. z of layer
+    i; the output layer's holds the residual preds - labels until the
+    backward pass scales it. Each of z, exp, tanh_sp, scratch and delta
+    is the row blocks of one (units, rows) array, hidden layers first;
+    ``hidden`` holds those arrays' hidden rows, for one Mish-derivative
+    call. Views and transposed blocks are bound once per workspace."""
 
     def __init__(self, net: Network, rows: int):
-        dims = net.dims
-        self.rows = rows
-        self.inputs = [_with_ones(d, rows) for d in dims[:-1]]
-        self.z = [np.empty((d, rows)) for d in dims[1:]]
-        self.exp = [np.empty((d, rows)) for d in dims[1:-1]]
-        self.tanh_sp = [np.empty((d, rows)) for d in dims[1:-1]]
-        self.delta = [np.empty((d, rows)) for d in dims[1:]]
-        self.scratch = [np.empty((d, rows)) for d in dims[1:-1]]
+        self.net, self.rows = net, rows
+        self.inputs = [_with_ones(d, rows) for d in net.dims[:-1]]
+        self.stacked = np.empty((5, sum(net.dims[1:]), rows))
         self.labels = np.empty(rows)
+        self._bind()
+
+    def _bind(self) -> None:
+        dims = self.net.dims
+        edges = np.cumsum((0, *dims[1:])).tolist()
+        self.z, self.exp, self.tanh_sp, self.scratch, self.delta = (
+            [a[lo:hi] for lo, hi in zip(edges, edges[1:])] for a in self.stacked)
+        self.hidden = tuple(self.stacked[:, :edges[-2]])  # _mish_prime_into's arguments
+        self.x = self.inputs[0][:-1]
+        self.acts = [a[:-1] for a in self.inputs[1:]]
+        self.preds, self.residual = self.z[-1][0], self.delta[-1][0]
+        self.blocks_t = [block.T for block in self.net.blocks]
 
     def narrow(self, rows: int) -> "_Workspace":
         """The same buffers cut to their first ``rows`` columns, for the
         last, shorter batch of an epoch."""
         view = copy.copy(self)
         view.rows = rows
-        for name in ("inputs", "z", "exp", "tanh_sp", "delta", "scratch"):
-            setattr(view, name, [b[:, :rows] for b in getattr(self, name)])
+        view.inputs = [a[:, :rows] for a in self.inputs]
+        view.stacked = self.stacked[..., :rows]
         view.labels = self.labels[:rows]
+        view._bind()
         return view
 
 
-def _forward(net: Network, ws: _Workspace) -> np.ndarray:
-    """The layer chain over the batch in ``ws.inputs[0]``, keeping what the
+def _forward(ws: _Workspace) -> np.ndarray:
+    """The layer chain over the batch in ``ws.x``, keeping what the
     backward pass needs; returns the predictions."""
-    last = len(net.blocks) - 1
-    for i, block in enumerate(net.blocks):
-        z = np.matmul(block.T, ws.inputs[i], out=ws.z[i])
-        if i < last:
-            a = ws.inputs[i + 1][:-1]
+    for i, block_t in enumerate(ws.blocks_t):
+        z = np.matmul(block_t, ws.inputs[i], out=ws.z[i])
+        if i < len(ws.acts):
+            a = ws.acts[i]
             np.multiply(z, _tanh_softplus_into(z, ws.exp[i], ws.tanh_sp[i], a), out=a)
-    return z[0]
+    return ws.preds
 
 
 def _residual(ws: _Workspace, labels: np.ndarray) -> np.ndarray:
     """preds - labels, kept in the output layer's delta."""
-    return np.subtract(ws.z[-1][0], labels, out=ws.delta[-1][0])
+    return np.subtract(ws.preds, labels, out=ws.residual)
 
 
-def _backward(net: Network, ws: _Workspace, grad_blocks: list[np.ndarray]) -> None:
+def _backward(ws: _Workspace, grad_blocks: list[np.ndarray]) -> None:
     """Gradients of the batch-mean squared error, from the residual
     ``_residual`` left, written into ``grad_blocks``: each layer's block
-    is [a | 1].T @ delta."""
+    is [a | 1].T @ delta. Every hidden delta first takes its layer's Mish
+    derivative, in one pass, and is then scaled by W @ delta from above."""
     delta = ws.delta[-1]
     delta *= 2.0 / ws.rows
-    for i in reversed(range(len(net.blocks))):
+    _mish_prime_into(*ws.hidden)
+    weights = ws.net.weights
+    for i in reversed(range(len(grad_blocks))):
         np.matmul(ws.inputs[i], delta.T, out=grad_blocks[i])
         if i > 0:
             s, prev = ws.scratch[i - 1], ws.delta[i - 1]
-            _mish_prime_into(ws.z[i - 1], ws.exp[i - 1], ws.tanh_sp[i - 1], s, prev)
-            np.matmul(net.weights[i], delta, out=s)
+            np.matmul(weights[i], delta, out=s)
             prev *= s
             delta = prev
 
@@ -284,17 +304,18 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, _Workspace]:
     """Batch forward pass; returns predictions and the cache backward needs."""
     x, squeeze = _as_rows(net, x)
     cache = _Workspace(net, x.shape[0])
-    cache.inputs[0][:-1] = x.T
-    preds = _forward(net, cache)
+    cache.x[...] = x.T
+    preds = _forward(cache)
     return (preds[0] if squeeze else preds), cache
 
 
 def backward(net: Network, cache: _Workspace, labels: np.ndarray
              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of batch-mean squared error w.r.t. every weight and bias."""
+    """Gradients of batch-mean squared error w.r.t. every weight and bias,
+    through the weights of the net ``cache`` was made for by ``forward``."""
     grad_blocks = _layer_blocks(np.empty_like(net.params), net.dims)
     _residual(cache, np.asarray(labels, dtype=np.float64))
-    _backward(net, cache, grad_blocks)
+    _backward(cache, grad_blocks)
     return [g[:-1] for g in grad_blocks], [g[-1] for g in grad_blocks]
 
 
@@ -349,40 +370,45 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out like ``Network.params``."""
+    """First and second moments, the two rows of one (2, P) array, each
+    laid out like ``Network.params``."""
 
-    m: np.ndarray
-    v: np.ndarray
+    moments: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, net: Network) -> "AdamState":
-        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
+        return cls(np.zeros((2, net.params.size)))
+
+
+def _adam_rates(config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, 1) columns (b1, b2) and (1 - b1, 1 - b2) that decay and feed
+    the two rows of ``AdamState.moments``."""
+    decay = np.array([[config.adam_beta1], [config.adam_beta2]])
+    return decay, 1.0 - decay
 
 
 def _adam(params: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConfig,
-          scratch: np.ndarray) -> None:
+          scratch: np.ndarray, rates: tuple[np.ndarray, np.ndarray]) -> None:
     """One bias-corrected Adam update of ``params`` in place, through the
-    two params-sized rows of ``scratch``."""
+    (2, P) ``scratch``; ``rates`` is ``_adam_rates(config)``. One product
+    decays both moments and one sum feeds them (1 - b1) g and (1 - b2) g g."""
     state.step += 1
     t = state.step
-    b1, b2, eps, lr = (config.adam_beta1, config.adam_beta2,
-                       config.adam_eps, config.learning_rate)
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - config.adam_beta1 ** t
+    corr2 = 1.0 - config.adam_beta2 ** t
+    decay, gain = rates
     s, u = scratch
-    m, v = state.m, state.v
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=s)
-    s *= g
-    v += s
+    m, v = state.moments
+    state.moments *= decay
+    np.multiply(g, gain, out=scratch)
+    u *= g
+    state.moments += scratch
     np.divide(v, corr2, out=s)
     np.sqrt(s, out=s)
-    s += eps
+    s += config.adam_eps
     np.divide(m, corr1, out=u)
-    u *= lr
+    u *= config.learning_rate
     u /= s
     params -= u
 
@@ -390,7 +416,8 @@ def _adam(params: np.ndarray, g: np.ndarray, state: AdamState, config: TrainConf
 def adam_step(net: Network, grads: tuple[list[np.ndarray], list[np.ndarray]],
               state: AdamState, config: TrainConfig) -> tuple[Network, AdamState]:
     """One bias-corrected Adam update of the whole parameter vector, in place."""
-    _adam(net.params, _flatten(*grads), state, config, np.empty((2, net.params.size)))
+    _adam(net.params, _flatten(*grads), state, config, np.empty((2, net.params.size)),
+          _adam_rates(config))
     return net, state
 
 
@@ -439,12 +466,16 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
     state = AdamState.zeros(net)
     grad = np.empty_like(net.params)  # laid out like params; grad_blocks are its layer views
     grad_blocks, adam_scratch = _layer_blocks(grad, net.dims), np.empty((2, grad.size))
+    rates = _adam_rates(config)
     epoch_mse: list[float] = []
     # divergence is detected on the loss and raised; silence the transient
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            loss = mse(predict(net, X), y)
+            residual = predict(net, X)  # mse(predict(net, X), y) without a second n-vector
+            residual -= y
+            loss = float(residual @ residual / n)
+            del residual
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch}: loss={loss}; max |param| = "
@@ -457,13 +488,13 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
             for start in range(0, n, ws.rows):
                 idx = order[start : start + ws.rows]
                 batch = ws if idx.size == ws.rows else last
-                batch.inputs[0][:-1] = X[idx].T
+                batch.x[...] = X[idx].T
                 np.take(y, idx, out=batch.labels)
-                _forward(net, batch)
+                _forward(batch)
                 _residual(batch, batch.labels)
-                _backward(net, batch, grad_blocks)
-                _adam(net.params, grad, state, config, adam_scratch)
-            del order, idx  # freed before the next loss pass allocates its n-sized vectors
+                _backward(batch, grad_blocks)
+                _adam(net.params, grad, state, config, adam_scratch, rates)
+            del order, idx  # freed before the next loss pass allocates its n-sized vector
     return TrainResult(net, epoch_mse, config.epochs_max, "epochs_max")
 
 

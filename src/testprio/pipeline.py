@@ -167,7 +167,7 @@ def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: Weight
     from; the same construction (on post-cut cycles) yields held-out pairs.
     """
     state = ReplayState(window_len)
-    ids = [tid for cycle in cycles for tid in cycle.test_ids]
+    ids = tuple(tid for cycle in cycles for tid in cycle.test_ids)  # FeatureSet keeps a tuple
     X, y = np.empty((len(ids), window_len + 4)), np.empty(len(ids))
     end = 0
     for cycle in cycles:
@@ -191,7 +191,8 @@ def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan
         before = len(labeled)
         labeled = augment(labeled, aug_cfg)
         logger.info("augmented training set: %d -> %d vectors", before, len(labeled))
-    X, y, _ = stack(labeled)
+    X, y = stack(labeled)[:2]
+    del labeled  # training reads X and y only, not the id of each vector
     cfg = plan.train_config or TrainConfig(rng_seed=plan.seed)
     net = xavier_init(default_dims(plan.window_len + 4), np.random.default_rng(cfg.rng_seed))
     result = train(net, X, y, cfg)
@@ -379,8 +380,8 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
     rows: list[dict] = []
     model: SavedModel | None = None
     training: TrainResult | None = None
-    holdout_preds: list[float] = []
-    holdout_labels: list[float] = []
+    holdout_preds: list[np.ndarray] = []  # one array per replayed cycle
+    holdout_labels: list[np.ndarray] = []
     dataset_name = plan.dataset_name()
 
     with span(timings, "TT"):
@@ -450,14 +451,14 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
                 if needs_model:
                     matrix_now = state.matrix_for(ids)
                     labeled = label_dataset(matrix_now, scheme, bounds=model.bounds)
-                    X, y, _ = stack(labeled)
-                    holdout_preds.extend(predict(model.net, X).tolist())
-                    holdout_labels.extend(y.tolist())
+                    X, y = stack(labeled)[:2]
+                    holdout_preds.append(predict(model.net, X))
+                    holdout_labels.append(y)
 
     holdout = None
     holdout_pairs = None
-    if holdout_preds:
-        holdout_pairs = (np.array(holdout_preds), np.array(holdout_labels))
+    if sum(map(len, holdout_preds)):
+        holdout_pairs = (np.concatenate(holdout_preds), np.concatenate(holdout_labels))
         holdout = regression_accuracy(*holdout_pairs)
 
     aggregates = aggregate_rows(rows, plan.strategies)
@@ -638,18 +639,22 @@ def _read_priorities(path: str | Path) -> dict:
     other fields are ingest_csv's to check, before this runs."""
     latest: dict = {}  # test id -> (cycle id, priority)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if "CalcPrio" not in (reader.fieldnames or ()):
+        reader = csv.reader(fh)
+        # as csv.DictReader reads it: a repeated name is its last column,
+        # a cell past a short row's end is empty and blank rows do not count
+        where = {name: i for i, name in enumerate(next(reader, []))}
+        if "CalcPrio" not in where:
             return {}
-        for rownum, row in enumerate(reader, start=2):
-            raw = (row["CalcPrio"] or "").strip()
+        at_id, at_cycle, at_prio = where["Id"], where["Cycle"], where["CalcPrio"]
+        for rownum, row in enumerate(filter(None, reader), start=2):
+            raw = row[at_prio].strip() if at_prio < len(row) else ""
             if not raw:
                 continue
             try:
                 prio = float(raw)
             except ValueError:
                 raise MalformedRow(rownum, f"bad priority {raw!r}") from None
-            test_id, cycle_id = int(row["Id"]), int(row["Cycle"])
+            test_id, cycle_id = int(row[at_id]), int(row[at_cycle])
             if cycle_id > latest.get(test_id, (0,))[0]:
                 latest[test_id] = (cycle_id, prio)
     return {test_id: prio for test_id, (_, prio) in latest.items()}

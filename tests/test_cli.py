@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 
 from testprio import cli, pipeline
@@ -147,11 +150,17 @@ def test_prioritize_and_select(dataset, trained_model, tmp_path):
     assert suite_csv.exists() and order_txt.exists()
     assert len(order_txt.read_text().splitlines()) == SMALL.n_tests
 
+    with open(suite_csv, "a", encoding="utf-8", newline="") as fh:
+        fh.write(f'{SMALL.n_tests + 1},"a,b",0.0,0.0\r\n')  # an id holding a comma
     assert main(["select", str(suite_csv), "--budget", "10",
                  "--out-dir", str(tmp_path)]) == 0
     selection = (tmp_path / "selection.csv").read_text().splitlines()
     assert selection[0] == "test_id,included,reason"
     assert any(line.endswith("over_budget") for line in selection[1:])
+    text = (tmp_path / "selection.csv").read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert all(len(row) == 3 for row in rows) and ["a,b", "1", ""] in rows
+    assert text.count("\r\n") == text.count("\n") == len(rows)
 
 
 @pytest.mark.parametrize("budget", ["-1", "nan", "inf"])

@@ -430,12 +430,13 @@ class TestTrain:
 
     def test_mini_batch_memory_is_bounded_beyond_the_data(self):
         """Training peaks in the epoch-top loss pass: predict's output
-        vector plus its block buffers. The residual and the shuffle order
-        are allocated after those blocks are freed, and the 128-row step
-        buffers do not grow with n. Measured: 1.00 MB beyond X, y and one
-        n-float vector; the bound is twice that. One n x 20 layer buffer
-        would be 8 MB."""
-        n = 50_000
+        vector plus its block buffers. The residual is formed in that
+        vector, the shuffle order is allocated after it is freed, and the
+        128-row step buffers do not grow with n. Measured: 1.01 MB beyond
+        X, y and one n-float vector; a second n-float vector in the loss
+        (1.6 MB at this n) read 1.94 MB. One n x 20 layer buffer would be
+        32 MB."""
+        n = 200_000
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, (n, 14))
         y = rng.uniform(size=n)
@@ -446,7 +447,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - n * 8 < 2_000_000, peak - n * 8
+        assert peak - n * 8 < 1_500_000, peak - n * 8
 
     def test_mini_batch_mode(self):
         rng = np.random.default_rng(3)
@@ -670,8 +671,10 @@ class TestBitIdentity:
         assert all(np.array_equal(a, b) for a, b in zip(result.net.biases, biases))
 
     def test_mini_batch_loss_over_several_blocks_matches_plain_forward(self):
-        """The epoch-top loss runs block by block; it must equal the loss of
-        one plain full-set forward pass."""
+        """The epoch-top loss runs block by block. At this n it equals the
+        loss of one plain full-set forward pass; at some larger n the two
+        differ in the last bits, since BLAS may round the tail columns of
+        a wider product differently."""
         rng = np.random.default_rng(47)
         assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
         n = 2 * FORWARD_BLOCK_ROWS + 123
