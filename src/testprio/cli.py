@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", parents=[common],
                        help="extract features with history-weighted priority labels")
     p.add_argument("dataset")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=int, default=None,
+                   help="history window length (default: replay.window_len)")
     p.add_argument("--as-of", type=int, default=None)
     p.set_defaults(func=cmd_label)
 
@@ -258,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train a model on a CSV log")
     p.add_argument("dataset")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=int, default=None,
+                   help="history window length (default: replay.window_len)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prioritize", parents=[common],

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedRow, MissingColumn, WindowLenMismatch
+from .errors import MalformedRow, WindowLenMismatch
 from .history import (DEFAULT_WINDOW, FAIL, NEVER_RAN, NOT_RUN, PASS, StatusMatrix,
-                      csv_rows, from_epoch_us, to_epoch_us)
+                      check_header, csv_rows, from_epoch_us, to_epoch_us)
 
 DERIVED_FEATURES = 4  # duration, last run, distance, change-in-status
 
@@ -161,15 +161,10 @@ def load_features_csv(path: str | Path) -> FeatureSet:
     non-finite feature or Priority."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv_rows(csv.reader(fh))
-        _, header = next(reader, (1, None))
-        if header is None:
-            raise MissingColumn("Id")
-        es_cols = [c for c in header if c.startswith("ES")]
-        expected = ["Id"] + es_cols + ["Duration", "LastRun", "Distance",
-                                       "ChangeInStatus", "Priority"]
-        if header != expected or not es_cols:
-            raise MissingColumn("ES1")
-        w = len(es_cols)
+        header = next(reader, (1, []))[1]
+        w = max(1, sum(c.startswith("ES") for c in header))
+        check_header(header, ["Id", *(f"ES{i}" for i in range(1, w + 1)), "Duration",
+                              "LastRun", "Distance", "ChangeInStatus", "Priority"])
         ids, rows, labels = [], [], []
         for rownum, row in reader:
             if len(row) != len(header):

@@ -226,6 +226,16 @@ def csv_rows(reader: Iterable, start: int = 1) -> Iterator[tuple[int, list | dic
         raise MalformedRow(rownum + 1, str(exc)) from None
 
 
+def check_header(header: list[str], expected: list[str]) -> None:
+    """Raise MissingColumn naming the first of ``expected`` that ``header``
+    lacks, or, if it lacks none, MalformedRow unless it is ``expected``."""
+    if header != expected:
+        for name in expected:
+            if name not in header:
+                raise MissingColumn(name)
+        raise MalformedRow(1, f"expected the header {','.join(expected)}")
+
+
 def ingest_csv(path: str | Path) -> list[CycleLog]:
     """Parse an execution log CSV into cycle-grouped columns.
 

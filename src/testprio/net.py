@@ -22,14 +22,14 @@ time.
 Training minimizes mean-squared error with Adam in shuffled mini-batches
 of ``TrainConfig.batch_size`` rows (default 128); a batch size of n or
 more takes the whole set as one batch. ``train`` allocates the buffers of
-one step once, sized for one batch: the layer inputs, and each layer's z
+one step once, sized for one batch (and once more for the last, shorter
+batch of an epoch, if there is one): the layer inputs, and each layer's z
 and delta and each hidden layer's exp(min(z, 20)), tanh(softplus(z)) and
 scratch for the backward pass. Each of those five kinds is one stacked
 array whose row blocks are the layers, so the backward takes every hidden
 layer's Mish derivative in one pass; the layer views and transposed
 weight blocks are bound once per workspace. Adam's two moments are the
 rows of one (2, P) array, decayed by one product and fed by one sum. The
-last, shorter batch of an epoch uses the buffers' leading columns. The
 epoch loss is taken on the whole training set through ``predict`` at the
 top of every epoch, before that epoch's updates: the residual is formed in
 ``predict``'s output vector, and training stops early once the loss drops
@@ -44,7 +44,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -241,29 +240,14 @@ class _Workspace:
         self.inputs = [_with_ones(d, rows) for d in net.dims[:-1]]
         self.stacked = np.empty((5, sum(net.dims[1:]), rows))
         self.labels = np.empty(rows)
-        self._bind()
-
-    def _bind(self) -> None:
-        dims = self.net.dims
-        edges = np.cumsum((0, *dims[1:])).tolist()
+        edges = np.cumsum((0, *net.dims[1:])).tolist()
         self.z, self.exp, self.tanh_sp, self.scratch, self.delta = (
             [a[lo:hi] for lo, hi in zip(edges, edges[1:])] for a in self.stacked)
         self.hidden = tuple(self.stacked[:, :edges[-2]])  # _mish_prime_into's arguments
         self.x = self.inputs[0][:-1]
         self.acts = [a[:-1] for a in self.inputs[1:]]
         self.preds, self.residual = self.z[-1][0], self.delta[-1][0]
-        self.blocks_t = [block.T for block in self.net.blocks]
-
-    def narrow(self, rows: int) -> "_Workspace":
-        """The same buffers cut to their first ``rows`` columns, for the
-        last, shorter batch of an epoch."""
-        view = copy.copy(self)
-        view.rows = rows
-        view.inputs = [a[:, :rows] for a in self.inputs]
-        view.stacked = self.stacked[..., :rows]
-        view.labels = self.labels[:rows]
-        view._bind()
-        return view
+        self.blocks_t = [block.T for block in net.blocks]
 
 
 def _forward(ws: _Workspace) -> np.ndarray:
@@ -461,7 +445,7 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
 
     n = X.shape[0]
     ws = _Workspace(net, min(config.batch_size, n))
-    last = ws.narrow(n % ws.rows or ws.rows)
+    last = _Workspace(net, n % ws.rows) if n % ws.rows else ws
     rng = np.random.default_rng(config.rng_seed)
     state = AdamState.zeros(net)
     grad = np.empty_like(net.params)  # laid out like params; grad_blocks are its layer views

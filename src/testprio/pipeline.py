@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +30,7 @@ from .features import (
     stack,
 )
 from .history import (
+    DEFAULT_WINDOW,
     CycleLog,
     ReplayState,
     StatusMatrix,
@@ -71,7 +72,7 @@ ALL_STRATEGIES = (STRATEGY_DEEPORDER, STRATEGY_ROCKET, STRATEGY_RANDOM, STRATEGY
 @dataclass
 class ExperimentPlan:
     dataset: object  # path to a CSV, or an in-memory list[CycleLog]
-    window_len: int = 10
+    window_len: int = DEFAULT_WINDOW
     cut_cycle: int | None = None  # None: cut at cut_fraction of the cycles
     cut_fraction: float = 0.8
     budget_fraction: float = 0.5
@@ -94,8 +95,19 @@ class ExperimentPlan:
         return "dataset"
 
 
+def _read_fields(cfg: LookupLog, section: str, cls, **defaults):
+    """``cls`` built from the ``<section>.<field>`` key of each of its fields,
+    parsed by the type of the field's default; ``defaults`` replace some of
+    the class's own."""
+    getter = {bool: get_bool, int: get_int, float: get_float}
+    return cls(**{f.name: getter[type(f.default)](cfg, f"{section}.{f.name}",
+                                                  defaults.get(f.name, f.default))
+                  for f in fields(cls)})
+
+
 def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
-    """Build a plan from flat config keys; explicit overrides win.
+    """Build a plan from flat config keys; explicit overrides win. Each
+    default is the one its dataclass declares.
 
     ``train.rng_seed`` and ``augment.rng_seed`` default to the master seed
     (the ``seed`` override, else the ``seed`` key), so one seed reaches
@@ -103,39 +115,24 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
     reads raises InputError, so a misspelt key cannot leave its default in
     place.
     """
-    cfg = LookupLog(cfg)
-    seed = get_int(cfg, "seed", 0)
+    cfg, P = LookupLog(cfg), ExperimentPlan
+    seed = get_int(cfg, "seed", P.seed)
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
     try:
-        aug = AugmentConfig(
-            k_neighbors=get_int(cfg, "augment.k_neighbors", 5),
-            target_fail_ratio=get_float(cfg, "augment.target_fail_ratio", 0.05),
-            noise_scale=get_float(cfg, "augment.noise_scale", 0.02),
-            pass_keep_fraction=get_float(cfg, "augment.pass_keep_fraction", 1.0),
-            rng_seed=get_int(cfg, "augment.rng_seed", seed),
-        )
-        tr = TrainConfig(
-            epochs_max=get_int(cfg, "train.epochs_max", 1000),
-            learning_rate=get_float(cfg, "train.learning_rate", 0.001),
-            adam_beta1=get_float(cfg, "train.adam_beta1", 0.9),
-            adam_beta2=get_float(cfg, "train.adam_beta2", 0.999),
-            adam_eps=get_float(cfg, "train.adam_eps", 1e-8),
-            mse_stop=get_float(cfg, "train.mse_stop", 1e-4),
-            batch_size=get_int(cfg, "train.batch_size", 128),
-            rng_seed=get_int(cfg, "train.rng_seed", seed),
-        )
+        aug = _read_fields(cfg, "augment", AugmentConfig, rng_seed=seed)
+        tr = _read_fields(cfg, "train", TrainConfig, rng_seed=seed)
     except ValueError as exc:
         raise InputError(f"config: {exc}") from None
     plan = ExperimentPlan(
         dataset=cfg.get("replay.dataset"),
-        window_len=get_int(cfg, "replay.window_len", 10),
+        window_len=get_int(cfg, "replay.window_len", P.window_len),
         cut_cycle=(get_int(cfg, "replay.cut_cycle", 0) or None),
-        cut_fraction=get_float(cfg, "replay.cut_fraction", 0.8),
-        budget_fraction=get_float(cfg, "replay.budget_fraction", 0.5),
-        random_repeats=get_int(cfg, "replay.random_repeats", 30),
-        weights=cfg.get("rocket.weights", "linear"),
-        augment_enabled=get_bool(cfg, "augment.enabled", True),
+        cut_fraction=get_float(cfg, "replay.cut_fraction", P.cut_fraction),
+        budget_fraction=get_float(cfg, "replay.budget_fraction", P.budget_fraction),
+        random_repeats=get_int(cfg, "replay.random_repeats", P.random_repeats),
+        weights=cfg.get("rocket.weights", P.weights),
+        augment_enabled=get_bool(cfg, "augment.enabled", P.augment_enabled),
         augment_config=aug,
         train_config=tr,
         retrain_every=(get_int(cfg, "replay.retrain_every", 0) or None),

@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedRow, MissingColumn, NonFinitePriority
+from .errors import LengthMismatch, MalformedRow, NonFinitePriority
 from .features import parse_id
-from .history import csv_rows
+from .history import check_header, csv_rows
 
 OVER_BUDGET = "over_budget"
 
@@ -142,8 +142,8 @@ def select_within_budget(suite: PrioritizedSuite, budget_s: float) -> SelectionR
     """
     if not 0 <= budget_s < math.inf:
         raise ValueError(f"budget must be a finite number of seconds >= 0, got {budget_s}")
-    if (suite.duration_s < 0).any():
-        raise ValueError("test durations must be >= 0")
+    if not ((suite.duration_s >= 0) & (suite.duration_s < math.inf)).all():
+        raise ValueError("test durations must be finite and >= 0")
     taken, remaining = budget_walk(suite.duration_s[None, :], budget_s)
     return SelectionResult(suite, taken[0], budget_s, budget_s - float(remaining[0]))
 
@@ -165,17 +165,15 @@ def write_suite_csv(suite: PrioritizedSuite, path: str | Path) -> None:
 def read_suite_csv(path: str | Path) -> PrioritizedSuite:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv_rows(csv.reader(fh))
-        _, header = next(reader, (1, None))
-        if header != _SUITE_HEADER:
-            raise MissingColumn("rank")
+        check_header(next(reader, (1, []))[1], _SUITE_HEADER)
         ids, priority, duration_s = [], [], []
         for rownum, row in reader:
             try:
                 tid, prio, dur = parse_id(row[1]), float(row[2]), float(row[3])
             except (IndexError, ValueError) as exc:
                 raise MalformedRow(rownum, str(exc)) from None
-            if dur < 0:
-                raise MalformedRow(rownum, f"negative duration {row[3]!r}")
+            if not 0 <= dur < math.inf:
+                raise MalformedRow(rownum, f"duration must be finite and >= 0, got {row[3]!r}")
             ids.append(tid)
             priority.append(prio)
             duration_s.append(dur)

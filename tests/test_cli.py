@@ -9,6 +9,7 @@ from testprio import cli, pipeline
 from testprio.cli import main
 from testprio.features import DERIVED_FEATURES, load_features_csv
 from testprio.history import emit_csv, ingest_csv
+from testprio.net import load_model
 from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
 
 from conftest import emit_with_calc_prio
@@ -97,6 +98,21 @@ def test_label_writes_features(dataset, tmp_path):
     vectors = load_features_csv(tmp_path / "features.csv")
     assert len(vectors) and vectors.labels is not None
     assert vectors.X.shape[1] == 10 + DERIVED_FEATURES
+
+
+@pytest.mark.parametrize("window_flag, window", [([], 4), (["--window", "6"], 6)],
+                         ids=["config-window", "flag-window"])
+def test_window_comes_from_the_config_unless_a_flag_sets_it(dataset, fast_config, tmp_path,
+                                                            window_flag, window):
+    """label and train take replay.window_len from the config; --window wins."""
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(fast_config.read_text() + "replay.window_len = 4\n")
+    argv = [str(dataset), "--config", str(cfg), "--out-dir", str(tmp_path), *window_flag]
+    assert main(["label", *argv]) == 0
+    assert main(["train", *argv]) == 0
+    header = (tmp_path / "features.csv").read_text().split("\n", 1)[0].split(",")
+    assert [c for c in header if c.startswith("ES")] == [f"ES{i}" for i in range(1, window + 1)]
+    assert load_model(tmp_path / "model.txt").net.input_dim == window + DERIVED_FEATURES
 
 
 def test_augment_rebalances(dataset, tmp_path):

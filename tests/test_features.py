@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from testprio.errors import MalformedRow, WindowLenMismatch
+from testprio.errors import MalformedRow, MissingColumn, WindowLenMismatch
 from testprio.features import (
     FeatureBounds,
     FeatureSet,
@@ -283,6 +283,25 @@ def test_features_csv_round_trip(tmp_path, tiny_history):
         path = tmp_path / "features.csv"
         dump_features_csv(data, path)
         assert_same_set(load_features_csv(path), data)
+
+
+@pytest.mark.parametrize("drop, error, message", [
+    ("Priority", MissingColumn, "'Priority' is missing"),
+    ("ES3", MissingColumn, "'ES3' is missing"),
+    (None, MalformedRow, "^row 1: expected the header Id,ES1,"),
+], ids=["no-priority", "no-es3", "out-of-order"])
+def test_features_csv_header_errors_name_what_is_wrong(tmp_path, tiny_history, drop, error,
+                                                       message):
+    """The first expected column that is absent is named; a header with
+    every column in another order is a malformed row 1."""
+    path = tmp_path / "features.csv"
+    dump_features_csv(extract(build_status_matrix(tiny_history, 10)), path)
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    names = header.split(",")
+    names = [n for n in names if n != drop] if drop else names[1:] + names[:1]
+    path.write_text(",".join(names) + "\n" + rest, encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_features_csv(path)
 
 
 @pytest.mark.parametrize("blank", [1, 0])

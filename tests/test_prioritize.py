@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from testprio.errors import LengthMismatch, MalformedRow, NonFinitePriority
+from testprio.errors import LengthMismatch, MalformedRow, MissingColumn, NonFinitePriority
 from testprio.prioritize import (
     OVER_BUDGET,
     PrioritizedSuite,
@@ -145,9 +145,10 @@ class TestSelectWithinBudget:
         with pytest.raises(ValueError, match="finite"):
             select_within_budget(suite_of([1.0]), budget)
 
-    def test_negative_duration_rejected(self):
+    @pytest.mark.parametrize("duration", [-0.5, math.nan, math.inf])
+    def test_negative_duration_rejected(self, duration):
         with pytest.raises(ValueError):
-            select_within_budget(suite_of([1.0, -0.5]), 2.0)
+            select_within_budget(suite_of([1.0, duration]), 2.0)
 
     def test_budget_never_exceeded_randomized(self):
         rng = random.Random(4)
@@ -230,10 +231,25 @@ def test_suite_csv_round_trip(tmp_path):
     assert read_suite_csv(path) == suite
 
 
-def test_suite_csv_with_a_negative_duration_is_malformed(tmp_path):
+@pytest.mark.parametrize("duration", ["-2.0", "nan", "inf"])
+def test_suite_csv_with_a_negative_duration_is_malformed(tmp_path, duration):
     path = tmp_path / "suite.csv"
-    path.write_text("rank,test_id,priority,duration_s\n1,a,0.9,1.5\n2,b,0.5,-2.0\n")
+    path.write_text(f"rank,test_id,priority,duration_s\n1,a,0.9,1.5\n2,b,0.5,{duration}\n")
     with pytest.raises(MalformedRow, match="row 3"):
+        read_suite_csv(path)
+
+
+@pytest.mark.parametrize("header, error, message", [
+    ("rank,test_id,priority", MissingColumn, "'duration_s' is missing"),
+    ("rank,test_id,duration_s,priority", MalformedRow,
+     "^row 1: expected the header rank,test_id,priority,duration_s$"),
+], ids=["missing-column", "out-of-order"])
+def test_suite_csv_header_errors_name_what_is_wrong(tmp_path, header, error, message):
+    """A missing column is named; a header holding every column in another
+    order is a malformed row 1, not a missing 'rank'."""
+    path = tmp_path / "suite.csv"
+    path.write_text(f"{header}\n1,a,0.9,1.5\n")
+    with pytest.raises(error, match=message):
         read_suite_csv(path)
 
 
