@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DERIVED_FEATURES, FeatureSet
+from .features import DERIVED_FEATURES, CompactFeatures, FeatureSet
 from .history import FAIL, NOT_RUN
 
 logger = logging.getLogger(__name__)
@@ -46,12 +46,16 @@ class AugmentConfig:
             raise ValueError("pass_keep_fraction must be in (0, 1]")
 
 
-def fail_mask(X: np.ndarray) -> np.ndarray:
-    """The fail bin of an input matrix (``stack``'s layout): rows whose most
-    recent *executed* verdict is a fail. Rows that never executed are not in it."""
-    if X.size == 0:
-        return np.zeros(len(X), dtype=bool)
-    window = X[:, :-DERIVED_FEATURES]
+def fail_mask(X: np.ndarray | CompactFeatures) -> np.ndarray:
+    """The fail bin of an input matrix (``stack``'s layout) or of compact
+    vectors: rows whose most recent *executed* verdict is a fail. Rows that
+    never executed are not in it."""
+    if isinstance(X, CompactFeatures):
+        window = X.small[:, :X.window_len]
+    else:
+        window = X[:, :-DERIVED_FEATURES]
+    if window.size == 0:
+        return np.zeros(len(window), dtype=bool)
     last = window.shape[1] - 1 - np.argmax(window[:, ::-1] != NOT_RUN, axis=1)
     return window[np.arange(len(window)), last] == FAIL
 
@@ -62,9 +66,10 @@ def split_bins(data: FeatureSet) -> tuple[FeatureSet, FeatureSet]:
     return data[np.flatnonzero(failed)], data[np.flatnonzero(~failed)]
 
 
-def fail_ratio(data: FeatureSet) -> float:
-    """Share of split_bins' fail bin."""
-    return int(fail_mask(data.X).sum()) / len(data) if len(data) else 0.0
+def fail_ratio(data: FeatureSet | CompactFeatures) -> float:
+    """Share of the fail bin: of split_bins' fail bin for a FeatureSet."""
+    mask = fail_mask(data.X if isinstance(data, FeatureSet) else data)
+    return int(mask.sum()) / len(mask) if len(mask) else 0.0
 
 
 def nearest_neighbors(X: np.ndarray, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:

@@ -112,7 +112,7 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     plan = _plan(args, dataset=args.dataset, window_len=args.window)
     cycles = ingest_csv(args.dataset)
-    model, result = train_model(cycles, plan)
+    model, result, _ = train_model(cycles, plan)
     out = _out_dir(args)
     model_path = out / "model.txt"
     save_model(model, model_path)
@@ -210,21 +210,24 @@ def cmd_replay(args) -> int:
 
 
 def cmd_history_study(args) -> int:
-    try:
-        windows = tuple(int(w) for w in args.windows.split(","))
-    except ValueError:
-        windows = ()
-    if len(windows) != 2 or min(windows) < 1:
-        raise InputError(f"--windows takes two comma-separated lengths >= 1, "
-                         f"got {args.windows!r}")
+    given = {}  # no --windows: history_length_study's default applies
+    if args.windows is not None:
+        try:
+            given["windows"] = tuple(int(w) for w in args.windows.split(","))
+        except ValueError:
+            given["windows"] = ()
+        if len(given["windows"]) != 2 or min(given["windows"]) < 1:
+            raise InputError(f"--windows takes two comma-separated lengths >= 1, "
+                             f"got {args.windows!r}")
     plan = _plan(args, dataset=args.dataset)
-    study = history_length_study(plan, windows)
+    study = history_length_study(plan, **given)
+    short, long = study.windows
     print(format_table(
         ["dataset", "window", "mean_apfd", "mean_napfd"],
         [[r["dataset"], r["window"], r["mean_apfd"], r["mean_napfd"]] for r in study.rows],
     ))
-    print(f"delta APFD (w={windows[1]} minus w={windows[0]}): {study.delta_apfd}")
-    print(f"delta NAPFD (w={windows[1]} minus w={windows[0]}): {study.delta_napfd}")
+    print(f"delta APFD (w={long} minus w={short}): {study.delta_apfd}")
+    print(f"delta NAPFD (w={long} minus w={short}): {study.delta_napfd}")
     return EXIT_OK
 
 
@@ -297,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("history-study", parents=[common],
                        help="compare two history window lengths")
     p.add_argument("dataset")
-    p.add_argument("--windows", default="4,10")
+    p.add_argument("--windows", default=None,
+                   help="two comma-separated window lengths (default: 4,10)")
     p.set_defaults(func=cmd_history_study)
 
     return parser

@@ -5,9 +5,10 @@ With the default 10-cycle window a row holds 14 numbers: the 10 raw
 statuses, then normalized mean duration, normalized last-run time, the
 swing between oldest and newest status, and the count of pass-to-fail
 flips among executed cycles. A FeatureSet carries that matrix with its
-test ids and, once labeled, one priority per row. The features CSV
-writes and reads a FeatureSet; its Priority column is set on every row
-or on none.
+test ids and, once labeled, one priority per row. CompactFeatures holds
+the same vectors in a quarter of the bytes, keeping the integer features
+as small integers; the training set uses it. The features CSV writes and
+reads a FeatureSet; its Priority column is set on every row or on none.
 """
 
 from __future__ import annotations
@@ -76,6 +77,55 @@ class FeatureSet:
                             f"not {type(rows).__name__}; read X, test_ids and labels for rows")
         ids = [self.test_ids[j] for j in np.arange(len(self))[rows].tolist()]
         return FeatureSet(self.X[rows], ids, None if self.labels is None else self.labels[rows])
+
+
+class CompactFeatures:
+    """Feature vectors of window ``w`` held in two blocks instead of one
+    (n, w + 4) float64 matrix. ``small`` (n, w + 2) holds the integer
+    features, the statuses, swing and flip count, in the narrowest signed
+    type that holds a flip count of the window (int8 up to w = 255);
+    ``real`` (n, 2) float64 holds normalized duration and last run. With
+    w = 10 a vector takes 28 bytes instead of 112. ``fill`` writes rows in
+    feature order, transposed, into a float64 buffer: the layout of a
+    network input block."""
+
+    def __init__(self, n: int, window_len: int):
+        self.window_len = window_len
+        # at most w // 2 pass-to-fail flips fit in a window of w
+        self.small = np.empty((n, window_len + 2), np.min_scalar_type(-(window_len // 2) - 1))
+        self.real = np.empty((n, 2))
+
+    def __len__(self) -> int:
+        return len(self.real)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the dense matrix: (n, w + 4)."""
+        return len(self), self.window_len + DERIVED_FEATURES
+
+    def put(self, start: int, X: np.ndarray) -> None:
+        """Store the rows of ``X`` (``feature_matrix``'s layout) from row ``start`` on."""
+        w, rows = self.window_len, slice(start, start + len(X))
+        self.small[rows, :w] = X[:, :w]
+        self.small[rows, w:] = X[:, w + 2:]
+        self.real[rows] = X[:, w:w + 2]
+
+    def fill(self, rows, out: np.ndarray) -> None:
+        """``out[..., f, j]`` = feature f of vector ``rows[..., j]``: the
+        selected vectors, feature-major, into the float64 ``out`` of shape
+        (*rows.shape[:-1], w + 4, rows.shape[-1]). ``rows`` is a slice or
+        an index array."""
+        w = self.window_len
+        small = self.small[rows].swapaxes(-1, -2)
+        out[..., :w, :] = small[..., :w, :]
+        out[..., w + 2:, :] = small[..., w:, :]
+        out[..., w:w + 2, :] = self.real[rows].swapaxes(-1, -2)
+
+    def dense(self) -> np.ndarray:
+        """The (n, w + 4) float64 matrix of the vectors."""
+        X = np.empty(self.shape)
+        self.fill(slice(None), X.T)
+        return X
 
 
 def extract(

@@ -21,22 +21,31 @@ time.
 
 Training minimizes mean-squared error with Adam in shuffled mini-batches
 of ``TrainConfig.batch_size`` rows (default 128); a batch size of n or
-more takes the whole set as one batch. ``train`` allocates the buffers of
-one step once, sized for one batch (and once more for the last, shorter
-batch of an epoch, if there is one): the layer inputs, and each layer's z
-and delta and each hidden layer's exp(min(z, 20)), tanh(softplus(z)) and
-scratch for the backward pass. Each of those five kinds is one stacked
-array whose row blocks are the layers, so the backward takes every hidden
-layer's Mish derivative in one pass; the layer views and transposed
-weight blocks are bound once per workspace. Adam's two moments are the
-rows of one (2, P) array, decayed by one product and fed by one sum. The
-epoch loss is taken on the whole training set through ``predict`` at the
-top of every epoch, before that epoch's updates: the residual is formed in
-``predict``'s output vector, and training stops early once the loss drops
-below a configurable floor. ``predict`` runs the layer chain without a
-cache, over blocks of ``FORWARD_BLOCK_ROWS`` rows into one output vector,
-so its memory is a few block-sized buffers beyond that vector, whatever
-the row count.
+more takes the whole set as one batch. The training set is a dense (n, d)
+float64 matrix or ``features.CompactFeatures``, which holds the integer
+features in one small-integer block and the two real ones in a float64
+block (28 bytes per 14-input vector instead of 112); both train to the
+same bits, because every input block the network sees is float64 either
+way. ``train`` allocates the buffers of one step once, sized for one
+batch (and once more for the last, shorter batch of an epoch, if there is
+one): the layer inputs, and each layer's z and delta and each hidden
+layer's exp(min(z, 20)), tanh(softplus(z)) and scratch for the backward
+pass. Each of those five kinds is one stacked array whose row blocks are
+the layers, so the backward takes every hidden layer's Mish derivative in
+one pass; the layer views and transposed weight blocks are bound once per
+workspace. The shuffled rows of up to ``FORWARD_BLOCK_ROWS // batch``
+whole batches are gathered at once into one (batches, d + 1, batch)
+buffer, which costs a few numpy calls per gather instead of a few per
+step, and each step binds its batch's contiguous block as the first layer
+input. Adam's two moments are the rows of one (2, P) array, decayed by one
+product and fed by one sum. The epoch loss is taken on the whole training
+set at the top of every epoch, before that epoch's updates, by the
+blocked forward pass that ``predict`` runs, each block's input filled
+from the training set: the residual is formed in its output vector, and
+training stops early once the loss drops below a configurable floor.
+``predict`` runs the layer chain without a cache, over blocks of
+``FORWARD_BLOCK_ROWS`` rows into one output vector, so its memory is a
+few block-sized buffers beyond that vector, whatever the row count.
 
 Models serialize to a versioned plain-text format that round-trips
 bit-exactly.
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +68,7 @@ from .errors import (
     NonFiniteLoss,
     SchemaVersionMismatch,
 )
-from .features import FeatureBounds
+from .features import CompactFeatures, FeatureBounds
 
 MODEL_MAGIC = "tpmodel"
 MODEL_VERSION = "1"
@@ -233,25 +243,27 @@ class _Workspace:
     backward pass scales it. Each of z, exp, tanh_sp, scratch and delta
     is the row blocks of one (units, rows) array, hidden layers first;
     ``hidden`` holds those arrays' hidden rows, for one Mish-derivative
-    call. Views and transposed blocks are bound once per workspace."""
+    call. Views and transposed blocks are bound once per workspace.
+    ``first``, if given, is the buffer of ``inputs[0]``; ``train`` rebinds
+    ``inputs[0]`` to each step's block of its gather buffer."""
 
-    def __init__(self, net: Network, rows: int):
+    def __init__(self, net: Network, rows: int, first: np.ndarray | None = None):
         self.net, self.rows = net, rows
-        self.inputs = [_with_ones(d, rows) for d in net.dims[:-1]]
+        if first is None:
+            first = _with_ones(net.input_dim, rows)
+        self.inputs = [first, *(_with_ones(d, rows) for d in net.dims[1:-1])]
         self.stacked = np.empty((5, sum(net.dims[1:]), rows))
-        self.labels = np.empty(rows)
         edges = np.cumsum((0, *net.dims[1:])).tolist()
         self.z, self.exp, self.tanh_sp, self.scratch, self.delta = (
             [a[lo:hi] for lo, hi in zip(edges, edges[1:])] for a in self.stacked)
         self.hidden = tuple(self.stacked[:, :edges[-2]])  # _mish_prime_into's arguments
-        self.x = self.inputs[0][:-1]
         self.acts = [a[:-1] for a in self.inputs[1:]]
         self.preds, self.residual = self.z[-1][0], self.delta[-1][0]
         self.blocks_t = [block.T for block in net.blocks]
 
 
 def _forward(ws: _Workspace) -> np.ndarray:
-    """The layer chain over the batch in ``ws.x``, keeping what the
+    """The layer chain over the batch in ``ws.inputs[0]``, keeping what the
     backward pass needs; returns the predictions."""
     for i, block_t in enumerate(ws.blocks_t):
         z = np.matmul(block_t, ws.inputs[i], out=ws.z[i])
@@ -288,7 +300,7 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, _Workspace]:
     """Batch forward pass; returns predictions and the cache backward needs."""
     x, squeeze = _as_rows(net, x)
     cache = _Workspace(net, x.shape[0])
-    cache.x[...] = x.T
+    cache.inputs[0][:-1] = x.T
     preds = _forward(cache)
     return (preds[0] if squeeze else preds), cache
 
@@ -303,20 +315,33 @@ def backward(net: Network, cache: _Workspace, labels: np.ndarray
     return [g[:-1] for g in grad_blocks], [g[-1] for g in grad_blocks]
 
 
-def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Predictions without a cache, one block of rows at a time; each
-    layer's buffers are dropped once the next layer's input is built."""
-    x, squeeze = _as_rows(net, x)
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
-        rows = x[start : start + FORWARD_BLOCK_ROWS]
-        a = _with_ones(rows.shape[1], rows.shape[0])
-        a[:-1] = rows.T
+def _fill_dense(X: np.ndarray, rows, out: np.ndarray) -> None:
+    """``CompactFeatures.fill`` for a dense (n, d) matrix ``X``."""
+    out[...] = X[rows].swapaxes(-1, -2)
+
+
+def _predict_rows(net: Network, n: int, fill) -> np.ndarray:
+    """Predictions for n rows, one block of rows at a time, without a
+    cache: ``fill(rows, out)`` writes a slice of rows feature-major into a
+    block's input, and each layer's buffers are dropped once the next
+    layer's input is built."""
+    out = np.empty(n)
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        stop = min(start + FORWARD_BLOCK_ROWS, n)
+        a = _with_ones(net.input_dim, stop - start)
+        fill(slice(start, stop), a[:-1])
         for block in net.blocks[:-1]:
             z = block.T @ a
             a = _with_ones(*z.shape)
             np.multiply(z, _tanh_softplus(z), out=a[:-1])
-        out[start : start + len(rows)] = (net.blocks[-1].T @ a)[0]
+        out[start:stop] = (net.blocks[-1].T @ a)[0]
+    return out
+
+
+def predict(net: Network, x: np.ndarray) -> np.ndarray:
+    """Predictions without a cache, one block of rows at a time."""
+    x, squeeze = _as_rows(net, x)
+    out = _predict_rows(net, len(x), partial(_fill_dense, x))
     return out[0] if squeeze else out
 
 
@@ -419,44 +444,66 @@ class TrainResult:
         return self.epoch_mse[-1]
 
 
-def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> TrainResult:
+def train(net: Network, X: np.ndarray | CompactFeatures, y: np.ndarray,
+          config: TrainConfig) -> TrainResult:
     """Train until the full-set MSE drops below ``mse_stop`` or epochs run out.
 
-    The loss is evaluated on the whole training set at the top of every
-    epoch, so the recorded ``epoch_mse`` sequence is comparable across
-    batch sizes. Raises ValueError, before any update, on a non-finite
-    feature or a label outside [0, 1], and NonFiniteLoss (with
-    diagnostics) the moment the loss stops being a number.
+    ``X`` is a dense (n, d) matrix or the same vectors as CompactFeatures;
+    both train to the same bits. The loss is evaluated on the whole
+    training set at the top of every epoch, so the recorded ``epoch_mse``
+    sequence is comparable across batch sizes. Raises ValueError, before
+    any update, on a non-finite feature or a label outside [0, 1], and
+    NonFiniteLoss (with diagnostics) the moment the loss stops being a
+    number.
     """
-    X = np.asarray(X, dtype=np.float64)
+    if isinstance(X, CompactFeatures):
+        real, fill = X.real, X.fill  # only the float block can hold a non-finite value
+    else:
+        X = real = np.asarray(X, dtype=np.float64)
+        fill = partial(_fill_dense, X)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if real.ndim != 2 or len(real) == 0:
         raise ValueError("training set must be a non-empty 2-d array")
-    if X.shape[1] != net.input_dim:
-        raise DimMismatch(X.shape[1], net.input_dim)
-    if y.shape != (X.shape[0],):
-        raise LengthMismatch(X.shape[0], y.size)
+    n, width = X.shape
+    if width != net.input_dim:
+        raise DimMismatch(width, net.input_dim)
+    if y.shape != (n,):
+        raise LengthMismatch(n, y.size)
     # min and max propagate NaN, so these two reductions see every bad value
     if not (0.0 <= y.min() and y.max() <= 1.0):
         raise ValueError("labels must be finite and within [0, 1]")
-    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+    if not (np.isfinite(real.min()) and np.isfinite(real.max())):
+        bad = int(np.flatnonzero(~np.isfinite(real).all(axis=1))[0])
         raise ValueError(f"features must be finite; row {bad} is not")
 
-    n = X.shape[0]
-    ws = _Workspace(net, min(config.batch_size, n))
-    last = _Workspace(net, n % ws.rows) if n % ws.rows else ws
+    rows = min(config.batch_size, n)
+    full = n // rows  # full batches per epoch
+    # The inputs and labels of up to FORWARD_BLOCK_ROWS rows of full batches
+    # are gathered at once; each step binds its batch's contiguous block.
+    group = min(full, max(1, FORWARD_BLOCK_ROWS // rows))
+    inputs, labels = np.empty((group, width + 1, rows)), np.empty((group, rows))
+    inputs[:, width] = 1.0
+    steps = list(zip(inputs, labels))
+    ws = _Workspace(net, rows, inputs[0])
+    last = _Workspace(net, n - full * rows) if n > full * rows else None
     rng = np.random.default_rng(config.rng_seed)
     state = AdamState.zeros(net)
     grad = np.empty_like(net.params)  # laid out like params; grad_blocks are its layer views
     grad_blocks, adam_scratch = _layer_blocks(grad, net.dims), np.empty((2, grad.size))
     rates = _adam_rates(config)
+
+    def step(batch: _Workspace, batch_labels: np.ndarray) -> None:
+        _forward(batch)
+        _residual(batch, batch_labels)
+        _backward(batch, grad_blocks)
+        _adam(net.params, grad, state, config, adam_scratch, rates)
+
     epoch_mse: list[float] = []
     # divergence is detected on the loss and raised; silence the transient
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            residual = predict(net, X)  # mse(predict(net, X), y) without a second n-vector
+            residual = _predict_rows(net, n, fill)  # mse(predict(net, X), y) in place
             residual -= y
             loss = float(residual @ residual / n)
             del residual
@@ -469,15 +516,17 @@ def train(net: Network, X: np.ndarray, y: np.ndarray, config: TrainConfig) -> Tr
             if loss < config.mse_stop:
                 return TrainResult(net, epoch_mse, epoch, "mse_stop")
             order = rng.permutation(n)
-            for start in range(0, n, ws.rows):
-                idx = order[start : start + ws.rows]
-                batch = ws if idx.size == ws.rows else last
-                batch.x[...] = X[idx].T
-                np.take(y, idx, out=batch.labels)
-                _forward(batch)
-                _residual(batch, batch.labels)
-                _backward(batch, grad_blocks)
-                _adam(net.params, grad, state, config, adam_scratch, rates)
+            for start in range(0, full * rows, group * rows):
+                idx = order[start : min(start + group * rows, full * rows)].reshape(-1, rows)
+                fill(idx, inputs[:len(idx), :-1])
+                np.take(y, idx, out=labels[:len(idx)])
+                for batch_input, batch_labels in steps[:len(idx)]:
+                    ws.inputs[0] = batch_input
+                    step(ws, batch_labels)
+            if last is not None:
+                idx = order[full * rows:]
+                fill(idx, last.inputs[0][:-1])
+                step(last, y[idx])
             del order, idx  # freed before the next loss pass allocates its n-sized vector
     return TrainResult(net, epoch_mse, config.epochs_max, "epochs_max")
 

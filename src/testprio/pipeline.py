@@ -5,7 +5,13 @@ orderings.
 The replay is causal: the ordering for cycle c is computed from cycles
 strictly before c. History is carried in an incremental per-test state so
 prioritization cost does not grow with the length of the already-processed
-log.
+log. The fold that labels the pre-cut history for training builds that
+state too, and the replay goes on from it.
+
+The training set holds one vector per pre-cut execution, as
+``CompactFeatures``: 28 bytes per vector at window 10, where a float64
+matrix takes 112. Only a run that rebalances builds the dense matrix,
+since the rebalancer's synthetic rows are not integers.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .augment import AugmentConfig, augment, fail_ratio
 from .config import LookupLog, get_bool, get_float, get_int
 from .errors import InputError, InsufficientHistory, MalformedRow, MissingPriorityColumn
 from .features import (
+    CompactFeatures,
     FeatureBounds,
     FeatureSet,
     bounds_from_matrix,
@@ -155,46 +162,70 @@ def plan_from_config(cfg: dict[str, str], **overrides) -> "ExperimentPlan":
 
 # --- training ----------------------------------------------------------------
 
-def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: WeightScheme,
-                     bounds: FeatureBounds):
-    """Pool labeled vectors over every historical as-of point.
+def _label_history(cycles: Sequence[CycleLog], window_len: int, scheme: WeightScheme,
+                   bounds: FeatureBounds) -> tuple[CompactFeatures, np.ndarray, ReplayState]:
+    """Pool labeled vectors over every historical as-of point, compactly.
 
     For each cycle a, the tests that executed in a contribute one vector
     whose window ends at a. This is the supervised set the model learns
     from; the same construction (on post-cut cycles) yields held-out pairs.
+    Returns the vectors, their labels and the state folded through the
+    last cycle.
     """
     state = ReplayState(window_len)
-    ids = tuple(tid for cycle in cycles for tid in cycle.test_ids)  # FeatureSet keeps a tuple
-    X, y = np.empty((len(ids), window_len + 4)), np.empty(len(ids))
+    n = sum(len(cycle.test_ids) for cycle in cycles)
+    vectors, y = CompactFeatures(n, window_len), np.empty(n)
     end = 0
     for cycle in cycles:
         state.ingest(cycle)
         labeled = label_dataset(state.matrix_for(cycle.test_ids), scheme, bounds=bounds)
         start, end = end, end + len(labeled)
-        X[start:end], y[start:end] = labeled.X, labeled.labels
-    return FeatureSet(X, ids, y)
+        vectors.put(start, labeled.X)
+        y[start:end] = labeled.labels
+    return vectors, y, state
+
+
+def _dense_set(cycles: Sequence[CycleLog], vectors: CompactFeatures, y: np.ndarray
+               ) -> FeatureSet:
+    """``_label_history``'s vectors as one matrix, with each vector's test id."""
+    return FeatureSet(vectors.dense(), tuple(t for cycle in cycles for t in cycle.test_ids), y)
+
+
+def training_vectors(cycles: Sequence[CycleLog], window_len: int, scheme: WeightScheme,
+                     bounds: FeatureBounds) -> FeatureSet:
+    """The labeled vectors of ``_label_history``, with each vector's test
+    id, as one dense FeatureSet."""
+    return _dense_set(cycles, *_label_history(cycles, window_len, scheme, bounds)[:2])
 
 
 def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan
-                ) -> tuple[SavedModel, TrainResult]:
-    """Label the pre-cut history, optionally rebalance, and fit the network."""
+                ) -> tuple[SavedModel, TrainResult, ReplayState]:
+    """Label the pre-cut history, optionally rebalance, and fit the network.
+    Also returns the replay state folded through the last of ``cycles``.
+
+    The network trains on the compact vectors, unless augmentation runs:
+    its synthetic rows are not integers, so that path frees the compact
+    blocks once it has built the dense matrix it rebalances.
+    """
     scheme = weight_scheme(plan.weights, plan.window_len)
     as_of = cycles[-1].cycle_id
     base = build_status_matrix(cycles, plan.window_len, as_of_cycle=as_of)
     bounds = bounds_from_matrix(base)
-    labeled = training_vectors(cycles, plan.window_len, scheme, bounds)
+    X, y, state = _label_history(cycles, plan.window_len, scheme, bounds)
     aug_cfg = plan.augment_config or AugmentConfig(rng_seed=plan.seed)
-    if plan.augment_enabled and fail_ratio(labeled) < aug_cfg.target_fail_ratio:
+    if plan.augment_enabled and fail_ratio(X) < aug_cfg.target_fail_ratio:
+        labeled = _dense_set(cycles, X, y)
+        del X
         before = len(labeled)
         labeled = augment(labeled, aug_cfg)
         logger.info("augmented training set: %d -> %d vectors", before, len(labeled))
-    X, y = stack(labeled)[:2]
-    del labeled  # training reads X and y only, not the id of each vector
+        X, y = stack(labeled)[:2]
+        del labeled  # training reads X and y only, not the id of each vector
     cfg = plan.train_config or TrainConfig(rng_seed=plan.seed)
     net = xavier_init(default_dims(plan.window_len + 4), np.random.default_rng(cfg.rng_seed))
     result = train(net, X, y, cfg)
     model = SavedModel(net, bounds, weight_scheme=plan.weights, rng_seed=cfg.rng_seed)
-    return model, result
+    return model, result, state
 
 
 # --- replay ------------------------------------------------------------------
@@ -390,9 +421,11 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             eval_cycles = [c for c in cycles if c.cycle_id > cut]
             scheme = weight_scheme(plan.weights, plan.window_len)
             needs_model = STRATEGY_DEEPORDER in plan.strategies
-            if needs_model:
-                model, training = train_model(train_cycles, plan)
-            state = ReplayState.from_cycles(train_cycles, plan.window_len, cut)
+            if needs_model:  # the replay goes on from the state training folded
+                model, training, state = train_model(train_cycles, plan)
+                state.advance_to(cut)
+            else:
+                state = ReplayState.from_cycles(train_cycles, plan.window_len, cut)
             trained_through = cut
 
         for cycle in eval_cycles:
@@ -403,7 +436,7 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
             ):
                 with span(timings, "PT"):
                     history = [c for c in cycles if c.cycle_id < cycle.cycle_id]
-                    model, training = train_model(history, plan)
+                    model, training, _ = train_model(history, plan)  # the replay keeps its state
                     trained_through = cycle.cycle_id
 
             ids = cycle.test_ids

@@ -172,6 +172,8 @@ def read_suite_csv(path: str | Path) -> PrioritizedSuite:
                 tid, prio, dur = parse_id(row[1]), float(row[2]), float(row[3])
             except (IndexError, ValueError) as exc:
                 raise MalformedRow(rownum, str(exc)) from None
+            if not math.isfinite(prio):
+                raise MalformedRow(rownum, f"priority must be finite, got {row[2]!r}")
             if not 0 <= dur < math.inf:
                 raise MalformedRow(rownum, f"duration must be finite and >= 0, got {row[3]!r}")
             ids.append(tid)

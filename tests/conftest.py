@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import datetime, timedelta
 
 import pytest
@@ -35,6 +36,19 @@ def emit_with_calc_prio(cycles, path, cell):
         writer.writerow([*header, "CalcPrio"])
         writer.writerows([*row, cell(int(row[5]), int(row[0]))] for row in rows)
     return path
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs,
+    and the bytes still allocated once it has returned: what its result
+    holds, besides anything it imported."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (alive while the memory is read)
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak, kept
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

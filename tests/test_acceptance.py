@@ -28,7 +28,7 @@ from testprio.net import (
 )
 from testprio.pipeline import ExperimentPlan, history_length_study, run_pipeline
 from testprio.prioritize import PrioritizedSuite, select_within_budget
-from testprio.rocket import geometric_weights, linear_weights, priority
+from testprio.rocket import geometric_weights, linear_weights, priorities, priority
 from testprio.simulate import (
     GSDTSR_LIKE,
     IOFROL_LIKE,
@@ -104,10 +104,11 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_rocket_formula_oracle():
-    """Weighted-failure priority matches a brute-force loop on 10^4 windows."""
+    """Weighted-failure priority, scalar and vectorized (the form the replay
+    runs), matches a brute-force loop on 10^4 windows."""
     started = time.perf_counter()
     rng = random.Random(99)
-    worst = 0.0
+    worst = worst_vectorized = 0.0
     for _ in range(10_000):
         m = rng.randint(1, 25)
         scheme = (linear_weights(m) if rng.random() < 0.5
@@ -115,10 +116,14 @@ def test_criterion_2_rocket_formula_oracle():
         window = [rng.choice([-1, 0, 1]) for _ in range(m)]
         expected = sum(w * max(s, 0) for s, w in zip(window, scheme.weights))
         worst = max(worst, abs(priority(window, scheme) - expected))
+        vectorized = priorities(np.array([window], dtype=np.int8), scheme)[0]
+        worst_vectorized = max(worst_vectorized, abs(vectorized - expected))
     elapsed = time.perf_counter() - started
-    ok = worst <= 1e-12
-    report(2, ok, f"10000 windows, worst abs diff {worst:.2e}, {elapsed:.1f}s")
+    ok = max(worst, worst_vectorized) <= 1e-12
+    report(2, ok, f"10000 windows, worst abs diff {worst:.2e} scalar, "
+                  f"{worst_vectorized:.2e} vectorized, {elapsed:.1f}s")
     assert worst <= 1e-12
+    assert worst_vectorized <= 1e-12
 
 
 def test_criterion_3_metric_oracle():

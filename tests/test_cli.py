@@ -179,6 +179,16 @@ def test_prioritize_and_select(dataset, trained_model, tmp_path):
     assert text.count("\r\n") == text.count("\n") == len(rows)
 
 
+def test_select_rejects_a_suite_with_a_priority_that_is_not_finite(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("rank,test_id,priority,duration_s\n1,a,nan,1.0\n2,b,inf,1.0\n"
+                     "3,c,0.5,1.0\n")
+    assert main(["select", str(suite), "--budget", "2", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: row 2: priority must be finite, got 'nan'\n"
+    assert not (tmp_path / "selection.csv").exists()
+
+
 @pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
 def test_select_rejects_a_budget_that_is_not_finite_and_non_negative(tmp_path, capsys, budget):
     suite = tmp_path / "suite.csv"
@@ -370,6 +380,15 @@ def test_history_study_cli(dataset, fast_config, tmp_path, capsys):
     assert main(["history-study", str(dataset), "--windows", "3,6",
                  "--config", str(fast_config), "--out-dir", str(tmp_path)]) == 0
     assert "delta APFD" in capsys.readouterr().out
+
+
+def test_history_study_without_windows_studies_4_and_10(dataset, fast_config, tmp_path, capsys):
+    """--windows falls back to history_length_study's own default."""
+    assert main(["history-study", str(dataset), "--config", str(fast_config),
+                 "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "history_study.csv", newline="", encoding="utf-8") as fh:
+        assert [row["window"] for row in csv.DictReader(fh)] == ["4", "10"]
+    assert "delta APFD (w=10 minus w=4)" in capsys.readouterr().out
 
 
 def test_history_study_bad_windows(dataset):

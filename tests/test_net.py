@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +14,8 @@ from testprio.errors import (
     NonFiniteLoss,
     SchemaVersionMismatch,
 )
-from testprio.features import FeatureBounds, bounds_from_matrix
-from testprio.history import build_status_matrix
+from testprio.features import CompactFeatures, FeatureBounds, bounds_from_matrix, feature_matrix
+from testprio.history import StatusMatrix, build_status_matrix
 from testprio.net import (
     FORWARD_BLOCK_ROWS,
     AdamState,
@@ -39,6 +38,7 @@ from testprio.net import (
 
 from datetime import datetime
 
+from conftest import traced_peak
 from test_history import random_cycles
 
 # Tests that span several forward blocks allocate 2 * FORWARD_BLOCK_ROWS rows
@@ -218,7 +218,7 @@ class TestForward:
         """predict holds one layer at a time; forward keeps every layer."""
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(0))
         X = np.random.default_rng(1).uniform(-1, 1, (20_000, 14))
-        predict_peak, forward_peak = traced_peak(predict, net, X), traced_peak(forward, net, X)
+        predict_peak, forward_peak = traced_peak(predict, net, X)[0], traced_peak(forward, net, X)[0]
         assert predict_peak < 0.5 * forward_peak, (predict_peak, forward_peak)
 
     def test_predict_memory_is_the_output_plus_block_buffers(self):
@@ -227,23 +227,13 @@ class TestForward:
         X = np.random.default_rng(2).uniform(-1, 1, (n, 14))
         # Measured: the 1.6 MB output plus 0.66 MB of block buffers. A
         # layer-sized buffer alone, n x 20 float64, is 32 MB.
-        assert traced_peak(predict, net, X) < n * 8 + 2_000_000
+        assert traced_peak(predict, net, X)[0] < n * 8 + 2_000_000
 
     def test_predict_equals_forward_across_a_partial_block(self):
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(5))
         assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
         X = np.random.default_rng(6).normal(scale=3.0, size=(2 * FORWARD_BLOCK_ROWS + 77, 14))
         assert np.array_equal(predict(net, X), forward(net, X)[0])
-
-
-def traced_peak(fn, net, X):
-    """Peak bytes that tracemalloc sees allocated while ``fn(net, X)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(net, X)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMse:
@@ -441,12 +431,8 @@ class TestTrain:
         X = rng.uniform(-1, 1, (n, 14))
         y = rng.uniform(size=n)
         net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(22))
-        tracemalloc.start()
-        try:
-            train(net, X, y, TrainConfig(epochs_max=2, mse_stop=1e-9, batch_size=128))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(train, net, X, y,
+                              TrainConfig(epochs_max=2, mse_stop=1e-9, batch_size=128))
         assert peak - n * 8 < 1_500_000, peak - n * 8
 
     def test_mini_batch_mode(self):
@@ -456,6 +442,49 @@ class TestTrain:
         net = xavier_init((4, 6, 1), rng)
         result = train(net, X, y, TrainConfig(epochs_max=50, batch_size=16))
         assert len(result.epoch_mse) <= 50
+
+
+def feature_rows(rng, n, window):
+    """feature_matrix rows of random windows; the first row alternates pass
+    and fail, so it carries the most flips a window can hold."""
+    statuses = rng.integers(-1, 2, (n, window)).astype(np.int8)
+    statuses[0] = np.arange(window) % 2
+    matrix = StatusMatrix(tuple(range(n)), window, statuses, rng.uniform(0, 9, n),
+                          rng.integers(0, 10**12, n))
+    return feature_matrix(matrix, expected_window=window)
+
+
+def compact(X, window):
+    vectors = CompactFeatures(len(X), window)
+    vectors.put(0, X)
+    return vectors
+
+
+@pytest.mark.parametrize("window, n, batch_size", [
+    (10, 2 * FORWARD_BLOCK_ROWS + 300, 128),  # two whole gathers, a part one, a short batch
+    (10, 50, 128),  # fewer rows than one batch
+    (255, 90, 32),  # the largest window int8 holds, and a short last batch
+], ids=["short-last-batch", "n-below-batch", "window-255"])
+def test_compact_vectors_train_to_the_bits_of_the_dense_matrix(window, n, batch_size):
+    rng = np.random.default_rng(window + n)
+    X, y = feature_rows(rng, n, window), rng.uniform(size=n)
+    config = TrainConfig(epochs_max=4, mse_stop=1e-9, batch_size=batch_size, rng_seed=3)
+    dims = (window + 4, 10, 20, 15, 1)
+    nets = [xavier_init(dims, np.random.default_rng(4)) for _ in range(2)]
+    dense, packed = train(nets[0], X, y, config), train(nets[1], compact(X, window), y, config)
+    assert nets[0].params.tobytes() == nets[1].params.tobytes()
+    assert dense.epoch_mse == packed.epoch_mse and len(dense.epoch_mse) == 4
+
+
+@pytest.mark.parametrize("window, dtype", [(10, np.int8), (255, np.int8), (256, np.int16)])
+def test_compact_vectors_hold_the_dense_rows_exactly(window, dtype):
+    X = feature_rows(np.random.default_rng(window), 40, window)
+    assert X[0, -1] == window // 2  # the most flips a window of this length holds
+    vectors = compact(X, window)
+    assert vectors.small.dtype == dtype and vectors.shape == X.shape == (40, window + 4)
+    assert np.array_equal(vectors.dense(), X)
+    per_vector = (vectors.small.nbytes + vectors.real.nbytes) / len(vectors)
+    assert per_vector == (window + 2) * np.dtype(dtype).itemsize + 16  # 28 B at window 10
 
 
 BOUNDS = FeatureBounds(0.5, 12.0, datetime(2016, 1, 1), datetime(2016, 6, 1))

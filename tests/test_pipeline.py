@@ -266,6 +266,22 @@ class TestRunPipeline:
                                        retrain_every=10))
         assert again.per_cycle == result.per_cycle
 
+    def test_replay_goes_on_from_the_state_training_folded(self, tiny_cycles):
+        """train_model returns the state its training set was folded in,
+        equal to ReplayState.from_cycles; the replay advances it to the cut,
+        and a retrain keeps it. So rocket scores each cycle as in a
+        rocket-only replay, which folds the pre-cut cycles on its own."""
+        model, training, state = train_model(tiny_cycles[:30], tiny_plan(tiny_cycles))
+        folded = ReplayState.from_cycles(tiny_cycles[:30], 10, tiny_cycles[29].cycle_id)
+        assert state.index == folded.index and state.cycle == folded.cycle
+        for name in ("statuses", "dur_sum", "dur_count", "last_run"):
+            assert np.array_equal(getattr(state, name), getattr(folded, name))
+        alone = run_pipeline(tiny_plan(tiny_cycles, strategies=("rocket",))).per_cycle
+        for retrain_every in (None, 4):
+            both = run_pipeline(tiny_plan(tiny_cycles, strategies=("deeporder", "rocket"),
+                                          retrain_every=retrain_every))
+            assert [r for r in both.per_cycle if r["strategy"] == "rocket"] == alone
+
     def test_unknown_strategy_rejected(self, tiny_cycles):
         with pytest.raises(InputError):
             run_pipeline(tiny_plan(tiny_cycles, strategies=("bogus",)))
@@ -389,7 +405,7 @@ class TestGroundTruthComparison:
             compare_against_ground_truth(tiny_plan(log))
 
     def test_model_comparison_included(self, tiny_cycles, tmp_path):
-        model, _ = train_model(tiny_cycles[:30], tiny_plan(tiny_cycles))
+        model, _, _ = train_model(tiny_cycles[:30], tiny_plan(tiny_cycles))
         log = self.make_prio_log(tiny_cycles, tmp_path / "prio.csv")
         report = compare_against_ground_truth(tiny_plan(log), model=model)
         assert report.model_mean is not None
@@ -441,8 +457,8 @@ class TestConfig:
         plan = plan_from_config({}, seed=7)
         assert plan.train_config.rng_seed == 7
         assert plan.augment_config.rng_seed == 7
-        from_config, _ = train_model(tiny_cycles[:30], plan)
-        direct, _ = train_model(tiny_cycles[:30], ExperimentPlan(dataset=None, seed=7))
+        from_config, _, _ = train_model(tiny_cycles[:30], plan)
+        direct, _, _ = train_model(tiny_cycles[:30], ExperimentPlan(dataset=None, seed=7))
         for a, b in zip(from_config.net.weights + from_config.net.biases,
                         direct.net.weights + direct.net.biases):
             assert np.array_equal(a, b)

@@ -239,6 +239,15 @@ def test_suite_csv_with_a_negative_duration_is_malformed(tmp_path, duration):
         read_suite_csv(path)
 
 
+@pytest.mark.parametrize("priority", ["nan", "inf", "-inf"])
+def test_suite_csv_with_a_priority_that_is_not_finite_is_malformed(tmp_path, priority):
+    """rank never writes one: it raises NonFinitePriority instead."""
+    path = tmp_path / "suite.csv"
+    path.write_text(f"rank,test_id,priority,duration_s\n1,a,0.9,1.5\n2,b,{priority},2.0\n")
+    with pytest.raises(MalformedRow, match=f"^row 3: priority must be finite, got '{priority}'$"):
+        read_suite_csv(path)
+
+
 @pytest.mark.parametrize("header, error, message", [
     ("rank,test_id,priority", MissingColumn, "'duration_s' is missing"),
     ("rank,test_id,duration_s,priority", MalformedRow,
