@@ -6,19 +6,21 @@ Each row records one run of one test in one CI cycle; a test that did not
 run in a cycle simply has no row there. The log is held as columns: each
 ``CycleLog`` keeps its rows' test ids, names, verdicts, durations and
 last-run timestamps side by side, in file order, with last-run stamps as
-int64 epoch microseconds. ``ingest_csv``'s cycles hold read-only views of
-cycle-sorted whole-log arrays, so keeping any one cycle keeps those arrays
-alive. Every path that makes a cycle, ingest, the simulator and tests
-alike, hands ``CycleLog`` its columns. ``ExecutionRecord`` objects, with
-datetimes, are built only for callers that read ``CycleLog.records``.
+int64 epoch microseconds. Each of ``ingest_csv``'s cycles holds arrays of
+its own, so dropping a cycle frees its rows. Every path that makes a cycle,
+ingest, the simulator and tests alike, hands ``CycleLog`` its columns.
+``ExecutionRecord`` objects, with datetimes, are built only for callers that
+read ``CycleLog.records``.
 
-``ingest_csv`` reads the log with numpy's C CSV parser (``np.loadtxt``) in
-blocks of whole rows, straight into one set of whole-log columns, and
-checks them in bulk. A log whose cycle column never decreases, as every
-``emit_csv`` or simulated log, skips the cycle sort. Every cycle's id tuple
-holds the one int object of each distinct id, found by ``np.searchsorted``
-in the log's sorted distinct ids, cycle by cycle, so no n-sized index is
-built. Whatever that reader might read differently from ``csv`` (stray
+``ingest_csv`` reads the log in one pass with numpy's C CSV parser
+(``np.loadtxt``), in blocks of whole rows, and checks each block in bulk.
+No whole-log column is built: each cycle becomes a ``CycleLog`` as soon as
+the reader has passed its last row, so besides the cycles only one block
+and the rows of the cycle being read are held. A row of a cycle already
+built, in a log out of cycle order, is kept until the file is read and
+then appended to its cycle, in file order. Every cycle's id tuple holds the
+one int object of each distinct id, through a dict filled as rows arrive.
+Whatever that reader might read differently from ``csv`` (stray
 quotes, NUL characters, bare CR line ends, ``1_000``, non-ASCII digits), and
 every invalid log, goes to a row-by-row ``csv.DictReader`` walk, which
 defines a valid row and reports the first bad one.
@@ -40,6 +42,7 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -69,8 +72,8 @@ _EPOCH, _UTC_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.
 _US = timedelta(microseconds=1)
 
 # Characters of the log read for one np.loadtxt call. A block is cut back to
-# its last line end outside quotes, so it holds whole rows; the columns of one
-# block are alive at a time besides the whole-log columns they are copied into.
+# its last line end outside quotes, so it holds whole rows; one block is parsed
+# at a time, and the cycle it ends in may hold slices of it until the next.
 # Unless a row is longer than a read, a block is at most two reads long, within
 # csv.field_size_limit()'s default; ingest_csv leaves a longer block to csv.
 INGEST_BLOCK_CHARS = 1 << 16
@@ -112,8 +115,7 @@ class CycleLog:
     ``test_ids`` and ``names`` are stored as tuples; ``failed`` (bool),
     ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds) as
     read-only arrays. An array of the right dtype is kept without a copy
-    and made read-only: ``ingest_csv``'s cycles hold slices of whole-log
-    arrays sorted by cycle, and any one cycle keeps all of them alive.
+    and made read-only; ``ingest_csv`` hands each cycle arrays of its own.
     Construction checks, with array operations, that ``cycle_id`` is at
     least 1, that the columns are of one length, that durations are
     finite and at least 0 and that no test id repeats.
@@ -217,6 +219,24 @@ def _parse_stamps(texts: Sequence[str]) -> np.ndarray:
     raise ValueError("a LastRun stamp numpy may misread")
 
 
+def _parse_offset_stamps(texts: Sequence[str]) -> np.ndarray:
+    """Epoch microseconds of LastRun fields that all end in a UTC offset
+    ``±HH:MM`` (hours below 24, minutes below 60) after a date and time:
+    _parse_stamps' wall-clock time less the offset. Raises ValueError for any
+    other field; fromisoformat reads a date followed by "+01:00" as 01:00."""
+    walls = [text[:-6] for text in texts]
+    tails = np.array([text[-6:] for text in texts], dtype="U6").view(np.uint32).reshape(-1, 6)
+    sign, colon = tails[:, 0], tails[:, 3]
+    digits = tails[:, [1, 2, 4, 5]] - ord("0")  # a code below "0" wraps above 9
+    hours, minutes = digits[:, 0] * 10 + digits[:, 1], digits[:, 2] * 10 + digits[:, 3]
+    if (min(map(len, walls)) < 16 or (digits > 9).any() or (colon != ord(":")).any()
+            or not np.isin(sign, (ord("+"), ord("-"))).all()
+            or (hours > 23).any() or (minutes > 59).any()):
+        raise ValueError("a LastRun stamp without a ±HH:MM offset after its time")
+    offset_us = (hours * 60 + minutes) * np.where(sign == ord("-"), -60_000_000, 60_000_000)
+    return _parse_stamps(walls) - offset_us
+
+
 def csv_rows(reader: Iterable, start: int = 1) -> Iterator[tuple[int, list | dict]]:
     """Each row of a csv reader with its row number, counting from ``start``
     (the header is row 1). A csv.Error, such as a field longer than
@@ -249,15 +269,17 @@ def ingest_csv(path: str | Path) -> list[CycleLog]:
     LastResults, CalcPrio) are ignored.
 
     Below the header, ``np.loadtxt`` (numpy's C CSV parser) reads the file in
-    blocks of about ``INGEST_BLOCK_CHARS`` characters, each cut at a line end
-    outside quoted fields. Each block's fields are checked in bulk and copied
-    straight into whole-log columns, allocated once for the file's count of
-    line ends. One stable sort on the cycle column, unless the log is in
-    cycle order already, then splits the columns into ``CycleLog``s. The whole file is parsed and validated before this
-    returns. If loadtxt rejects a block or any row fails a check, the file is
-    re-walked row by row (``_parse_row`` is the definition of a valid row),
-    which raises the first bad row's error with its row number. A log that
-    is not UTF-8 raises InputError.
+    one pass, in blocks of about ``INGEST_BLOCK_CHARS`` characters, each cut
+    at a line end outside quoted fields. Each block's fields are checked in
+    bulk and the block is split at its cycle boundaries; a cycle's columns
+    are copied into its ``CycleLog`` once the reader has passed its last row.
+    In a log out of cycle order, a row of a cycle already built is held until
+    the file is read and then appended to that cycle, after its earlier rows.
+    The whole file is parsed and validated before this returns. If loadtxt
+    rejects a block or any row fails a check, the file is re-walked row by
+    row (``_parse_row`` is the definition of a valid row), which raises the
+    first bad row's error with its row number. A log that is not UTF-8 raises
+    InputError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -268,7 +290,7 @@ def ingest_csv(path: str | Path) -> list[CycleLog]:
                 if col not in header:
                     raise MissingColumn(col)
             try:
-                cycles = _ingest_columns(fh, _line_ends(path) + 1, header)
+                cycles = _ingest_columns(fh, header)
             except (ValueError, OverflowError, DuplicateExecution):
                 cycles = None
             if cycles is None:
@@ -278,11 +300,6 @@ def ingest_csv(path: str | Path) -> list[CycleLog]:
         raise InputError(f"the log is not UTF-8 text: byte "
                          f"0x{exc.object[exc.start]:02x} is {exc.reason}") from None
     return cycles
-
-
-def _line_ends(path: str | Path) -> int:
-    with open(path, "rb") as fh:
-        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _blocks(fh, size: int):
@@ -324,32 +341,41 @@ def _block_stamps(texts: np.ndarray, offsets: set) -> np.ndarray | list[int]:
     is parsed by fromisoformat, as _parse_row does; ``offsets`` collects whether
     stamps carry a UTC offset, and holding both kinds raises ValueError."""
     try:
-        stamps = _parse_stamps(texts)
-        offsets.add(False)
+        stamps, aware = _parse_stamps(texts), {False}
     except ValueError:
-        parsed = list(map(parse_timestamp, texts))
-        offsets.update(ts.utcoffset() is not None for ts in parsed)
-        stamps = list(map(to_epoch_us, parsed))
+        try:
+            stamps, aware = _parse_offset_stamps(texts), {True}
+        except ValueError:
+            parsed = list(map(parse_timestamp, texts))
+            aware = {ts.utcoffset() is not None for ts in parsed}
+            stamps = list(map(to_epoch_us, parsed))
+    offsets.update(aware)
     if len(offsets) > 1:
         raise ValueError("LastRun stamps with and without a UTC offset")
     return stamps
 
 
-def _ingest_columns(fh, capacity: int, header: list[str]) -> list[CycleLog] | None:
-    """The bulk path of ingest_csv over the rest of ``fh``, which holds at most
-    ``capacity`` rows. Returns None, or raises ValueError, OverflowError or
-    DuplicateExecution, when some row is not valid or may be read differently
-    by csv."""
+def _ingest_columns(fh, header: list[str]) -> list[CycleLog] | None:
+    """The bulk path of ingest_csv over the rest of ``fh``. Returns None, or
+    raises ValueError, OverflowError or DuplicateExecution, when some row is
+    not valid or may be read differently by csv.
+
+    Each block is split at its cycle boundaries. The rows of the cycle the
+    reader is in wait as pieces, slices of the columns of the blocks they
+    came in, and become a CycleLog once a row of another cycle follows. A row whose cycle
+    is built already is late: each block's late rows are copied out, and once
+    the file is read they are appended to their cycles in file order."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
     usecols = [where[f] for f in COLUMNS]
     dtype = np.dtype([("id", np.int64), ("name", object), ("duration", np.float64),
                       ("last_run", object), ("verdict", f"U{_VERDICT_WIDTH}"),
                       ("cycle", np.int64)])
-    ids, cycle = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
-    duration, stamps = np.empty(capacity), np.empty(capacity, np.int64)
-    names, failed = np.empty(capacity, object), np.empty(capacity, bool)
-    n, offsets = 0, set()
+    shared: dict[int, int] = {}  # each distinct id -> its one int object, shared by every cycle
+    cycles: dict[int, CycleLog] = {}
+    current, pieces = None, []  # the cycle the reader is in and its rows read so far
+    late = [[] for _ in range(6)]  # the late rows' cycle ids, then their columns, by block
+    offsets = set()
     for text in _blocks(fh, INGEST_BLOCK_CHARS):
         if not text.strip("\r\n"):
             continue  # blank lines only, which csv.DictReader skips too
@@ -361,35 +387,55 @@ def _ingest_columns(fh, capacity: int, header: list[str]) -> list[CycleLog] | No
         if np.char.str_len(verdicts).max() >= _VERDICT_WIDTH:
             return None
         verdicts = np.char.strip(verdicts)
-        block = slice(n, n + len(rows))
-        failed[block] = verdicts == "1"
-        if not (failed[block] | (verdicts == "0")).all():
+        failed = verdicts == "1"
+        if not (failed | (verdicts == "0")).all():
             return None
-        ids[block], duration[block], cycle[block] = rows["id"], rows["duration"], rows["cycle"]
-        names[block] = list(map(sys.intern, rows["name"]))
-        stamps[block] = _block_stamps(rows["last_run"], offsets)
-        n = block.stop
-    if not n:
-        return []
-    # One int object per distinct id, which every cycle's id tuple shares. The
-    # sorted ids give them faster than np.unique's hash table: 2.5 against
-    # 10.7 ms on a 255k-row log.
-    distinct = np.sort(ids[:n])
-    distinct = distinct[np.insert(distinct[1:] != distinct[:-1], 0, True)]
-    shared_ids = np.array(distinct.tolist(), dtype=object)
-    if (cycle[1:n] < cycle[:n - 1]).any():
-        # Each column is sorted by cycle in place, one at a time, so no sorted
-        # copy outlives its step; every cycle's columns are then slices of these.
-        order = np.argsort(cycle[:n], kind="stable")
-        for column in (ids, cycle, names, failed, duration, stamps):
-            column[:n] = column[order]
-        del order  # freed before the cycles' id and name tuples are built
-    bounds = [0, *(np.flatnonzero(cycle[1:n] != cycle[:n - 1]) + 1).tolist(), n]
-    cycle_ids = cycle[bounds[:-1]].tolist()
-    del cycle  # freed before the tuples are built
-    return [CycleLog(cid, tuple(shared_ids[np.searchsorted(distinct, ids[lo:hi])].tolist()),
-                     tuple(names[lo:hi].tolist()), failed[lo:hi], duration[lo:hi], stamps[lo:hi])
-            for cid, lo, hi in zip(cycle_ids, bounds, bounds[1:])]
+        ids = rows["id"].tolist()
+        # Durations are copied: a slice of rows would hold its Name and LastRun objects.
+        columns = (list(map(shared.setdefault, ids, ids)), list(map(sys.intern, rows["name"])),
+                   failed, rows["duration"].copy(),
+                   np.asarray(_block_stamps(rows["last_run"], offsets), dtype=np.int64))
+        cycle, is_late = rows["cycle"], np.zeros(len(rows), dtype=bool)
+        for cid, lo, hi in _runs(cycle):
+            if cid != current:
+                if pieces:
+                    cycles[current] = _cycle_log(current, pieces)
+                current, pieces = (None, None) if cid in cycles else (cid, [])
+            if pieces is None:
+                is_late[lo:hi] = True
+            else:
+                pieces.append([c[lo:hi] for c in columns])
+        if is_late.any():
+            for kept, column in zip(late, (cycle, *columns)):
+                kept.append((np.array(column, dtype=object) if isinstance(column, list)
+                             else column)[is_late])
+    if pieces:
+        cycles[current] = _cycle_log(current, pieces)
+    if late[0]:
+        for k, kept in enumerate(late):
+            late[k] = np.concatenate(kept)  # one column's blocks at a time
+        cycle, *columns = late
+        order = np.argsort(cycle, kind="stable")  # file order inside each cycle
+        for cid, lo, hi in _runs(cycle[order]):
+            log, at = cycles[cid], order[lo:hi]
+            cycles[cid] = _cycle_log(cid, [
+                [log.test_ids, log.names, log.failed, log.duration_s, log.last_run],
+                [c[at] for c in columns]])
+    return [cycles[cid] for cid in sorted(cycles)]
+
+
+def _runs(cycle: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """The id, start and stop of each run of rows of one cycle in ``cycle``."""
+    bounds = [0, *(np.flatnonzero(cycle[1:] != cycle[:-1]) + 1).tolist(), len(cycle)]
+    return zip(cycle[bounds[:-1]].tolist(), bounds, bounds[1:])
+
+
+def _cycle_log(cycle_id: int, pieces: list[list]) -> CycleLog:
+    """The CycleLog of one cycle's rows, given as column pieces in file order;
+    its arrays are copies that it alone holds."""
+    ids, names, *arrays = zip(*pieces)
+    return CycleLog(cycle_id, tuple(chain.from_iterable(ids)), tuple(chain.from_iterable(names)),
+                    *map(np.concatenate, arrays))
 
 
 def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:

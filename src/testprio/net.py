@@ -266,7 +266,7 @@ def _forward(ws: _Workspace) -> np.ndarray:
     """The layer chain over the batch in ``ws.inputs[0]``, keeping what the
     backward pass needs; returns the predictions."""
     for i, block_t in enumerate(ws.blocks_t):
-        z = np.matmul(block_t, ws.inputs[i], out=ws.z[i])
+        z = np.dot(block_t, ws.inputs[i], out=ws.z[i])
         if i < len(ws.acts):
             a = ws.acts[i]
             np.multiply(z, _tanh_softplus_into(z, ws.exp[i], ws.tanh_sp[i], a), out=a)
@@ -288,10 +288,10 @@ def _backward(ws: _Workspace, grad_blocks: list[np.ndarray]) -> None:
     _mish_prime_into(*ws.hidden)
     weights = ws.net.weights
     for i in reversed(range(len(grad_blocks))):
-        np.matmul(ws.inputs[i], delta.T, out=grad_blocks[i])
+        np.dot(ws.inputs[i], delta.T, out=grad_blocks[i])
         if i > 0:
             s, prev = ws.scratch[i - 1], ws.delta[i - 1]
-            np.matmul(weights[i], delta, out=s)
+            np.dot(weights[i], delta, out=s)
             prev *= s
             delta = prev
 

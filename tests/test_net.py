@@ -444,6 +444,24 @@ class TestTrain:
         assert len(result.epoch_mse) <= 50
 
 
+@pytest.mark.parametrize("rows", [128, 37, 1], ids=["batch", "short-last-batch", "one-row"])
+def test_a_training_step_gives_the_same_bits_through_dot_as_through_matmul(monkeypatch, rows):
+    """The step's products go through np.dot, which costs less per call than
+    np.matmul at these sizes; both must give the same bits wherever this runs."""
+    rng = np.random.default_rng(rows)
+    net = xavier_init((14, 10, 20, 15, 1), rng)
+    X, y = rng.uniform(-1, 1, (rows, 14)), rng.uniform(size=rows)
+
+    def step():
+        preds, cache = forward(net, X)
+        grads_w, grads_b = backward(net, cache, y)
+        return [a.tobytes() for a in (preds, *grads_w, *grads_b)]
+
+    through_dot = step()
+    monkeypatch.setattr(np, "dot", np.matmul)
+    assert step() == through_dot
+
+
 def feature_rows(rng, n, window):
     """feature_matrix rows of random windows; the first row alternates pass
     and fail, so it carries the most flips a window can hold."""
