@@ -7,10 +7,15 @@ run in a cycle simply has no row there. The log is held as columns: each
 ``CycleLog`` keeps its rows' test ids, names, verdicts, durations and
 last-run timestamps side by side, in file order, with last-run stamps as
 int64 epoch microseconds. Each of ``ingest_csv``'s cycles holds arrays of
-its own, so dropping a cycle frees its rows. Every path that makes a cycle,
-ingest, the simulator and tests alike, hands ``CycleLog`` its columns.
-``ExecutionRecord`` objects, with datetimes, are built only for callers that
-read ``CycleLog.records``.
+its own, so dropping a cycle frees its rows. Names are held once per test,
+not once per row: the cycles of one log share a dict of one name per test
+id, the first name read for it, and a cycle's ``names`` is a ``NameView``
+that reads each row's name there by its id. Only a cycle in which some
+row's name differs from that first name holds a tuple of its rows' names.
+Every path that makes a cycle, ingest, the simulator and tests alike, hands
+``CycleLog`` its columns, and ingest and the simulator hand it a
+``NameView``. ``ExecutionRecord`` objects, with datetimes, are built only
+for callers that read ``CycleLog.records``.
 
 ``ingest_csv`` reads the log in one pass with numpy's C CSV parser
 (``np.loadtxt``), in blocks of whole rows, and checks each block in bulk.
@@ -19,7 +24,9 @@ the reader has passed its last row, so besides the cycles only one block
 and the rows of the cycle being read are held. A row of a cycle already
 built, in a log out of cycle order, is kept until the file is read and
 then appended to its cycle, in file order. Every cycle's id tuple holds the
-one int object of each distinct id, through a dict filled as rows arrive.
+one int object of each distinct id: a block looks its ids up in the sorted
+ids read before, and checks its names against theirs, with array
+operations; only rows of ids not yet sorted in are looked at one by one.
 Whatever that reader might read differently from ``csv`` (stray
 quotes, NUL characters, bare CR line ends, ``1_000``, non-ASCII digits), and
 every invalid log, goes to a row-by-row ``csv.DictReader`` walk, which
@@ -112,12 +119,14 @@ class ExecutionRecord:
 class CycleLog:
     """All executions of a single CI cycle, in stable input order, as columns.
 
-    ``test_ids`` and ``names`` are stored as tuples; ``failed`` (bool),
-    ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds) as
-    read-only arrays. An array of the right dtype is kept without a copy
-    and made read-only; ``ingest_csv`` hands each cycle arrays of its own.
-    Construction checks, with array operations, that ``cycle_id`` is at
-    least 1, that the columns are of one length, that durations are
+    ``test_ids`` is stored as a tuple. ``names`` is a ``NameView`` when it
+    is one over this cycle's own ``test_ids`` tuple, as every producer in
+    this package hands it, and a tuple otherwise. ``failed`` (bool),
+    ``duration_s`` (float64) and ``last_run`` (int64 epoch microseconds)
+    are read-only arrays. An array of the right dtype is kept without a
+    copy and made read-only; ``ingest_csv`` hands each cycle arrays of its
+    own. Construction checks, with array operations, that ``cycle_id`` is
+    at least 1, that the columns are of one length, that durations are
     finite and at least 0 and that no test id repeats.
     ``records`` is a read-only view that builds one ExecutionRecord per row
     when read, for bench/.
@@ -125,16 +134,18 @@ class CycleLog:
 
     cycle_id: int
     test_ids: tuple
-    names: tuple
+    names: Sequence[str]
     failed: np.ndarray
     duration_s: np.ndarray
     last_run: np.ndarray
 
     def __post_init__(self):
         n = len(self.test_ids)
+        test_ids, names = tuple(self.test_ids), self.names
         columns = {
-            "test_ids": tuple(self.test_ids),
-            "names": tuple(self.names),
+            "test_ids": test_ids,
+            "names": (names if isinstance(names, NameView) and names.test_ids is test_ids
+                      else tuple(names)),
             "failed": np.asarray(self.failed, dtype=bool),
             "duration_s": np.asarray(self.duration_s, dtype=np.float64),
             "last_run": np.asarray(self.last_run, dtype=np.int64),
@@ -176,6 +187,47 @@ class CycleLog:
             return NotImplemented
         return all(np.array_equal(getattr(self, f), getattr(other, f))
                    for f in self.__dataclass_fields__)
+
+
+class NameView(SequenceABC):
+    """A cycle's test names, read through ``table``, a dict of one name per
+    test id that every cycle of a log shares: the row of ``test_ids[i]`` is
+    named ``table[test_ids[i]]``. It compares equal to the tuple of its
+    names, as ``CycleLog.names`` built from a tuple does."""
+
+    __slots__ = ("table", "test_ids")
+
+    def __init__(self, table: dict, test_ids: tuple):
+        self.table, self.test_ids = table, test_ids
+
+    def __len__(self) -> int:
+        return len(self.test_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.table.__getitem__, self.test_ids[i]))
+        return self.table[self.test_ids[i]]
+
+    def __iter__(self):
+        return map(self.table.__getitem__, self.test_ids)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, NameView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def shared_names(table: dict, test_ids: tuple, names: Sequence[str]) -> Sequence[str]:
+    """The names of the rows of ``test_ids``, as a NameView over ``table``,
+    which maps each id to the first name given for it (an id it lacks is
+    added with its name here), or as a tuple if some row's name differs
+    from its id's name in ``table``."""
+    if list(map(table.setdefault, test_ids, names)) == list(names):
+        return NameView(table, test_ids)
+    return tuple(names)
 
 
 class _Records(SequenceABC):
@@ -362,66 +414,142 @@ def _ingest_columns(fh, header: list[str]) -> list[CycleLog] | None:
 
     Each block is split at its cycle boundaries. The rows of the cycle the
     reader is in wait as pieces, slices of the columns of the blocks they
-    came in, and become a CycleLog once a row of another cycle follows. A row whose cycle
-    is built already is late: each block's late rows are copied out, and once
-    the file is read they are appended to their cycles in file order."""
+    came in, and become a CycleLog once a row of another cycle follows. A
+    row whose cycle is built already is late: each block's late rows are
+    copied out, and once the file is read they are appended to their cycles
+    in file order. A row's name is kept only where it differs from the
+    first name read for its id; every other row is named through ``table``."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
     usecols = [where[f] for f in COLUMNS]
     dtype = np.dtype([("id", np.int64), ("name", object), ("duration", np.float64),
                       ("last_run", object), ("verdict", f"U{_VERDICT_WIDTH}"),
                       ("cycle", np.int64)])
-    shared: dict[int, int] = {}  # each distinct id -> its one int object, shared by every cycle
+    known = _Known()
+    table = known.table  # each distinct id's one int object -> the first name read for it
     cycles: dict[int, CycleLog] = {}
     current, pieces = None, []  # the cycle the reader is in and its rows read so far
-    late = [[] for _ in range(6)]  # the late rows' cycle ids, then their columns, by block
-    offsets = set()
+    late = [[] for _ in range(5)]  # the late rows' cycle ids, then their columns, by block
+    late_names = {}  # the index among late rows -> the name of a late row renamed
+    n_late, offsets = 0, set()
     for text in _blocks(fh, INGEST_BLOCK_CHARS):
         if not text.strip("\r\n"):
             continue  # blank lines only, which csv.DictReader skips too
-        if "\0" in text or len(text) > csv.field_size_limit() or _stray_quote(text):
-            return None  # a U field drops trailing NULs; csv may reject a long field
-        rows = np.loadtxt(io.StringIO(text), dtype, delimiter=",", quotechar='"',
-                          comments=None, usecols=usecols, ndmin=1)
-        verdicts = rows["verdict"]
-        if np.char.str_len(verdicts).max() >= _VERDICT_WIDTH:
+        block = _read_block(text, dtype, usecols, known, offsets)
+        if block is None:
             return None
-        verdicts = np.char.strip(verdicts)
-        failed = verdicts == "1"
-        if not (failed | (verdicts == "0")).all():
-            return None
-        ids = rows["id"].tolist()
-        # Durations are copied: a slice of rows would hold its Name and LastRun objects.
-        columns = (list(map(shared.setdefault, ids, ids)), list(map(sys.intern, rows["name"])),
-                   failed, rows["duration"].copy(),
-                   np.asarray(_block_stamps(rows["last_run"], offsets), dtype=np.int64))
-        cycle, is_late = rows["cycle"], np.zeros(len(rows), dtype=bool)
+        cycle, ids, renamed, names, columns = block
+        id_list, is_late = ids.tolist(), np.zeros(len(cycle), dtype=bool)
         for cid, lo, hi in _runs(cycle):
             if cid != current:
                 if pieces:
-                    cycles[current] = _cycle_log(current, pieces)
+                    cycles[current] = _cycle_log(current, pieces, table)
                 current, pieces = (None, None) if cid in cycles else (cid, [])
             if pieces is None:
                 is_late[lo:hi] = True
             else:
-                pieces.append([c[lo:hi] for c in columns])
+                own = renamed is not None and renamed[lo:hi].any()
+                pieces.append([id_list[lo:hi], names[lo:hi] if own else None,
+                               *(c[lo:hi] for c in columns)])
         if is_late.any():
-            for kept, column in zip(late, (cycle, *columns)):
-                kept.append((np.array(column, dtype=object) if isinstance(column, list)
-                             else column)[is_late])
+            for kept, column in zip(late, (cycle, ids, *columns)):
+                kept.append(column[is_late])
+            if renamed is not None:
+                late_names.update((n_late + k, names[i]) for k, i in
+                                  enumerate(np.flatnonzero(is_late).tolist()) if renamed[i])
+            n_late += len(late[0][-1])
     if pieces:
-        cycles[current] = _cycle_log(current, pieces)
+        cycles[current] = _cycle_log(current, pieces, table)
     if late[0]:
         for k, kept in enumerate(late):
             late[k] = np.concatenate(kept)  # one column's blocks at a time
-        cycle, *columns = late
+        cycle, ids, *columns = late
         order = np.argsort(cycle, kind="stable")  # file order inside each cycle
         for cid, lo, hi in _runs(cycle[order]):
             log, at = cycles[cid], order[lo:hi]
+            id_list, names = ids[at].tolist(), None
+            if late_names and not late_names.keys().isdisjoint(at.tolist()):
+                names = [late_names[i] if i in late_names else table[t]
+                         for i, t in zip(at.tolist(), id_list)]
             cycles[cid] = _cycle_log(cid, [
-                [log.test_ids, log.names, log.failed, log.duration_s, log.last_run],
-                [c[at] for c in columns]])
+                [log.test_ids, None if isinstance(log.names, NameView) else log.names,
+                 log.failed, log.duration_s, log.last_run],
+                [id_list, names, *(c[at] for c in columns)]], table)
     return [cycles[cid] for cid in sorted(cycles)]
+
+
+def _read_block(text: str, dtype: np.dtype, usecols: list[int], known: "_Known",
+                offsets: set) -> tuple | None:
+    """One block's rows as cycle ids, shared id objects, whether each row's
+    name differs from its id's (None if no row's does), every row's name,
+    interned, if some row's does (else None), and the failed, duration and
+    last-run columns. None, or ValueError or OverflowError, if some row is
+    not valid or csv may read the block otherwise. Nothing returned refers
+    to loadtxt's rows, which hold every Name and LastRun object."""
+    if "\0" in text or len(text) > csv.field_size_limit() or _stray_quote(text):
+        return None  # a U field drops trailing NULs; csv may reject a long field
+    rows = np.loadtxt(io.StringIO(text), dtype, delimiter=",", quotechar='"', comments=None,
+                      usecols=usecols, ndmin=1)
+    verdicts = rows["verdict"]
+    if np.char.str_len(verdicts).max() >= _VERDICT_WIDTH:
+        return None
+    verdicts = np.char.strip(verdicts)
+    failed = verdicts == "1"
+    if not (failed | (verdicts == "0")).all():
+        return None
+    names = rows["name"]
+    ids, renamed = known.share(rows["id"], names)
+    if renamed.any():
+        names = list(map(sys.intern, names))
+    else:
+        renamed = names = None
+    stamps = np.asarray(_block_stamps(rows["last_run"], offsets), dtype=np.int64)
+    return (rows["cycle"].copy(), ids, renamed, names,
+            (failed, rows["duration"].copy(), stamps))
+
+
+class _Known:
+    """The distinct ids an ingest has read. ``table`` maps each one's shared
+    int object to the first name read for it. Most are also settled: held
+    sorted, beside their objects and names, so that a block looks its ids up
+    with one ``np.searchsorted``. The rest, ``pending``, are looked up one row
+    at a time, and once they outnumber the settled ids every id is settled;
+    so a log of ever new ids is sorted O(log n) times, not once a block."""
+
+    def __init__(self):
+        self.table: dict[int, str] = {}
+        self.pending: dict[int, int] = {}  # an id not settled -> its shared int object
+        self.ids = np.empty(0, dtype=np.int64)
+        self.objects = self.names = np.empty(0, dtype=object)
+
+    def share(self, ids: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shared int object of each of a block's ``ids``, and whether each
+        row's name differs from the first name read for its id."""
+        settled = len(self.ids)
+        if settled:
+            at = np.searchsorted(self.ids, ids).clip(max=settled - 1)
+            hit, objects, first = self.ids[at] == ids, self.objects[at], self.names[at]
+        else:
+            hit = np.zeros(len(ids), dtype=bool)
+            objects, first = np.empty((2, len(ids)), dtype=object)
+        miss = np.flatnonzero(~hit)
+        if len(miss):
+            fresh = ids[miss].tolist()
+            objects[miss] = fresh = list(map(self.pending.setdefault, fresh, fresh))
+            first[miss] = list(map(self.table.setdefault, fresh, names[miss]))
+            if len(self.pending) > settled:
+                self._settle()
+        return objects, first != names
+
+    def _settle(self) -> None:
+        pending = list(self.pending)  # each key is its own shared object
+        names = list(map(self.table.__getitem__, pending))
+        ids = np.concatenate([self.ids, np.array(pending, dtype=np.int64)])
+        order = np.argsort(ids)
+        self.ids = ids[order]
+        self.objects = np.concatenate([self.objects, np.array(pending, dtype=object)])[order]
+        self.names = np.concatenate([self.names, np.array(names, dtype=object)])[order]
+        self.pending.clear()
 
 
 def _runs(cycle: np.ndarray) -> Iterator[tuple[int, int, int]]:
@@ -430,12 +558,19 @@ def _runs(cycle: np.ndarray) -> Iterator[tuple[int, int, int]]:
     return zip(cycle[bounds[:-1]].tolist(), bounds, bounds[1:])
 
 
-def _cycle_log(cycle_id: int, pieces: list[list]) -> CycleLog:
+def _cycle_log(cycle_id: int, pieces: list[list], table: dict) -> CycleLog:
     """The CycleLog of one cycle's rows, given as column pieces in file order;
-    its arrays are copies that it alone holds."""
+    its arrays are copies that it alone holds. A piece's names are None
+    where ``table`` names its rows; the cycle's names are a NameView unless
+    some piece holds names of its own."""
     ids, names, *arrays = zip(*pieces)
-    return CycleLog(cycle_id, tuple(chain.from_iterable(ids)), tuple(chain.from_iterable(names)),
-                    *map(np.concatenate, arrays))
+    test_ids = tuple(chain.from_iterable(ids))
+    if any(n is not None for n in names):
+        names = tuple(chain.from_iterable(map(table.__getitem__, i) if n is None else n
+                                          for i, n in zip(ids, names)))
+    else:
+        names = NameView(table, test_ids)
+    return CycleLog(cycle_id, test_ids, names, *map(np.concatenate, arrays))
 
 
 def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
@@ -443,6 +578,7 @@ def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
     by_cycle: dict[int, list[tuple]] = {}  # cycle id -> its rows' column values
     seen: set[tuple[int, int]] = set()
     first_of_kind: dict[bool, int] = {}  # has a UTC offset -> first such row
+    table: dict[int, str] = {}  # each id -> the first name read for it
     for rownum, row in csv_rows(reader, start=2):
         cycle_id, last_run, values = _parse_row(row, rownum)
         first_of_kind.setdefault(last_run.utcoffset() is not None, rownum)
@@ -454,8 +590,13 @@ def _ingest_rows(reader: csv.DictReader) -> list[CycleLog]:
         if key in seen:
             raise DuplicateExecution(*key)
         seen.add(key)
+        table.setdefault(values[0], values[1])
         by_cycle.setdefault(cycle_id, []).append(values)
-    return [CycleLog(cid, *zip(*by_cycle[cid])) for cid in sorted(by_cycle)]
+    cycles = []
+    for cid in sorted(by_cycle):
+        ids, names, *columns = zip(*by_cycle[cid])
+        cycles.append(CycleLog(cid, ids, shared_names(table, ids, names), *columns))
+    return cycles
 
 
 def _parse_row(row: dict, rownum: int) -> tuple[int, datetime, tuple]:

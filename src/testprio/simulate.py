@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .history import CycleLog, to_epoch_us
+from .history import CycleLog, NameView, shared_names, to_epoch_us
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ def generate_history(profile: SuiteProfile, seed: int = 0) -> list[CycleLog]:
     base_duration = rng.lognormal(profile.duration_log_mu, profile.duration_log_sigma, n)
     propensity = rng.beta(profile.propensity_a, profile.propensity_b, n)
     broken = np.zeros(n, dtype=bool)
+    names = {i: f"T{i}" for i in range(1, n + 1)}  # one name per test, shared by every cycle
 
     cycles = []
     for c in range(1, profile.n_cycles + 1):
@@ -78,11 +79,11 @@ def generate_history(profile: SuiteProfile, seed: int = 0) -> list[CycleLog]:
         day_us = to_epoch_us(profile.start + timedelta(days=c - 1))
 
         ran = np.flatnonzero(executed)
-        test_ids = (ran + 1).tolist()
+        test_ids = tuple((ran + 1).tolist())
         cycles.append(CycleLog(
             c,
             test_ids,
-            [f"T{i}" for i in test_ids],
+            NameView(names, test_ids),
             failing[ran],
             [round(d, 3) for d in durations[ran].tolist()],
             day_us + ran * 7_000_000,  # 7 s apart by 0-based test index
@@ -96,15 +97,16 @@ def sample_rows(cycles: list[CycleLog], fraction: float, seed: int = 0) -> list[
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    out = []
+    out, table = [], {}
     for cycle in cycles:
         kept = np.flatnonzero(rng.uniform(size=len(cycle.test_ids)) < fraction)
         if len(kept):
             pick = kept.tolist()
+            test_ids = tuple(cycle.test_ids[i] for i in pick)
             out.append(CycleLog(
                 cycle.cycle_id,
-                [cycle.test_ids[i] for i in pick],
-                [cycle.names[i] for i in pick],
+                test_ids,
+                shared_names(table, test_ids, [cycle.names[i] for i in pick]),
                 cycle.failed[kept],
                 cycle.duration_s[kept],
                 cycle.last_run[kept],

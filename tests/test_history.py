@@ -26,6 +26,7 @@ from testprio.history import (
     COLUMNS,
     NEVER_RAN,
     CycleLog,
+    NameView,
     ReplayState,
     StatusMatrix,
     _parse_offset_stamps,
@@ -181,8 +182,10 @@ def execution_logs(draw, valid=False):
     """CSV text of an execution log and the fault injected (or None). A
     CalcPrio column, when drawn, is one that ingest ignores. Rows come in
     the order drawn, in cycle order, or in cycle order but for one row moved
-    to the end, where it may follow later cycles. A ``valid`` log has no
-    fault, no short row and no mix of stamps with and without offsets."""
+    to the end, where it may follow later cycles. Names are drawn for each
+    row, so that most ids change name from row to row, or for each id, with
+    a few rows renamed. A ``valid`` log has no fault, no short row and no
+    mix of stamps with and without offsets."""
     keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)),
                          max_size=25, unique=True))
     order = draw(st.sampled_from(["drawn", "by-cycle", "a-row-comes-back"]))
@@ -198,11 +201,16 @@ def execution_logs(draw, valid=False):
     last = {name: i for i, name in enumerate(header)}  # DictReader reads the last one
 
     offsets = draw(st.sampled_from(["none", "all"] if valid else ["none", "none", "all", "mixed"]))
+    naming = draw(st.sampled_from(["per-row", "per-id"]))
+    id_names = {}
     rows = []
     for test_id, cycle in keys:
+        if naming == "per-id" and test_id not in id_names:
+            id_names[test_id] = draw(FREE_TEXT)
+        renamed = naming == "per-row" or draw(st.integers(0, 5)) == 0
         value = {
             "Id": draw(PADDED).format(test_id),
-            "Name": draw(FREE_TEXT),
+            "Name": draw(FREE_TEXT) if renamed else id_names[test_id],
             "Duration": draw(PADDED).format(
                 repr(draw(st.floats(0, 1e4, allow_nan=False)))),
             "LastRun": draw(PADDED).format(draw(stamp_texts(offsets))),
@@ -324,6 +332,60 @@ def test_cycles_are_assembled_across_block_cuts(tmp_path, monkeypatch, block_cha
     if not isinstance(expected[0], type):
         monkeypatch.setattr(history, "_ingest_rows", None)  # a valid log is read in bulk
     assert outcome(ingest_csv, path) == expected
+
+
+# (id, name, cycle) of each row, in file order. Test 2 is renamed in cycle 2,
+# test 5 in a row that comes back to cycle 1 after cycle 3, and tests 3 and
+# 4 share one name; test 3's row back in cycle 3 keeps its first name.
+RENAMES = [(1, "a", 1), (2, "b", 1), (3, "same", 1), (4, "same", 1),
+           (1, "a", 2), (2, "b2", 2), (3, "same", 2), (5, "e", 2),
+           (1, "a", 3), (2, "b", 3), (4, "same", 3),
+           (5, "e-late", 1), (3, "same", 3)]
+
+
+@pytest.mark.parametrize("block_chars", [1, 40, 1 << 16])
+@pytest.mark.parametrize("path", ["bulk", "row-by-row"])
+def test_renamed_tests_keep_the_name_of_every_row(tmp_path, monkeypatch, block_chars, path):
+    """A cycle with a row whose name differs from the first name read for
+    its id holds its rows' names; every other cycle reads them from the
+    log's one name per id. Either way each row keeps its own name, and the
+    log is written back byte for byte as the cycles of tuples write it."""
+    log = write(tmp_path, "".join(f"{t},{n},1.5,2016-01-0{c} 10:00:00,{t % 2},{c}\n"
+                                  for t, n, c in RENAMES))
+    monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+    if path == "bulk":
+        monkeypatch.setattr(history, "_ingest_rows", None)
+    else:
+        monkeypatch.setattr(history, "_ingest_columns", lambda fh, header: None)
+    cycles, expected = ingest_csv(log), dictreader_ingest(log)
+    assert cycles == expected
+    assert sorted((r.test_id, r.test_name, r.cycle_id) for c in cycles for r in c.records) == (
+        sorted(RENAMES))
+    assert [isinstance(c.names, NameView) for c in cycles] == [False, False, True]
+    assert [type(c.names) for c in expected] == [tuple] * 3
+    emit_csv(cycles, tmp_path / "out.csv")
+    emit_csv(expected, tmp_path / "expected.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_ids_new_in_block_after_block_are_shared_and_sorted_a_few_times(tmp_path, monkeypatch):
+    """3,000 ids, new in every block of about five rows and read again in a
+    second cycle: each keeps one int object and one name, and the ids read
+    so far are sorted O(log n) times, not once a block."""
+    ids = random.Random(7).sample(range(10**6, 10**7), 3000)
+    body = "".join(f"{t},T{t},1.5,2016-01-0{c} 10:00:00,0,{c}\n" for c in (1, 2) for t in ids)
+    log = write(tmp_path, body)
+    monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", 200)
+    monkeypatch.setattr(history, "_ingest_rows", None)
+    settle = history._Known._settle
+    sorts = []
+    monkeypatch.setattr(history._Known, "_settle", lambda known: sorts.append(settle(known)))
+    cycles = ingest_csv(log)
+    assert cycles == dictreader_ingest(log)
+    assert len(sorts) <= 13
+    for column in ("test_ids", "names"):
+        values = [v for c in cycles for v in getattr(c, column)]
+        assert len({id(v) for v in values}) == len(set(values)) == 3000
 
 
 NAME_LAST = "Id,Duration,LastRun,Verdict,Cycle,Name\n"
@@ -450,6 +512,17 @@ class TestCycleLog:
         for column in (log.failed, log.duration_s, log.last_run):
             with pytest.raises(ValueError):
                 column[0] = 1
+
+    def test_a_name_view_is_kept_over_the_cycles_own_ids_only(self):
+        table, ids = {5: "a", 4: "b", 9: "c"}, (5, 4)
+        log = CycleLog(3, ids, NameView(table, ids), [1, 0], [2, 3], [10, 20])
+        assert log.names.table is table and log.names.test_ids is log.test_ids
+        assert log.names == ("a", "b") and log.names[::-1] == ("b", "a")
+        assert (log.names[-1], len(log.names), list(log.records)[0].test_name) == ("b", 2, "a")
+        copied = CycleLog(3, list(ids), NameView(table, ids), [1, 0], [2, 3], [10, 20])
+        assert type(copied.names) is tuple and copied == log
+        with pytest.raises(ValueError, match="columns differ in shape"):
+            CycleLog(3, ids, NameView(table, (9,)), [1, 0], [2, 3], [10, 20])
 
     @pytest.mark.parametrize("cycle_id,change,error,message", [
         (1, dict(test_ids=(2, 2)), DuplicateExecution, "test 2 appears more than once in cycle 1"),
@@ -708,19 +781,35 @@ def ingest_peak(tmp_path, n_cycles, order):
 @pytest.mark.parametrize("order", [1, -1], ids=["in-cycle-order", "reversed"])
 def test_ingest_peak_stays_near_the_size_of_its_result(tmp_path, order):
     """ingest_csv builds no whole-log column: each cycle's columns are copied
-    out of the block that holds them. On this 50,880-row log the traced peak
-    measured 1.64 times what the result holds, in either row order, against
-    1.83 with one set of whole-log columns."""
+    out of the block that holds them, and a block's rows are dropped before
+    the next block is parsed. On this 50,880-row log the traced peak
+    measured 1.54 times what the result holds, in either row order. It read
+    1.64 with a tuple of names per cycle and the last block's rows held
+    while the next was parsed, and 1.83 with one set of whole-log columns."""
     peak, kept = ingest_peak(tmp_path, 100, order)
     assert peak < 1.75 * kept, peak / kept
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["in-cycle-order", "reversed"])
+def test_an_ingested_log_holds_under_30_bytes_a_row(tmp_path, order):
+    """A row holds its id's pointer, verdict, duration and stamp: 25 bytes,
+    plus each cycle's own objects and each test's name. On this 50,880-row
+    log that measured 27.5-27.6 bytes a row, and 35.2 with a tuple of names
+    per cycle."""
+    _, kept = ingest_peak(tmp_path, 100, order)
+    with open(tmp_path / "log-100.csv", encoding="utf-8") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == 50_880
+    assert kept / rows < 30, kept / rows
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["in-cycle-order", "reversed"])
 def test_ingest_excess_does_not_grow_with_the_log(tmp_path, order):
     """What ingest holds beyond its result is a block and the cycle being
     read, whatever the log's length. From 100 to 200 cycles it measured
-    1.09 -> 1.06 MiB, against 1.42 -> 1.92 (in cycle order) and 1.41 ->
-    2.53 MiB (reversed) with whole-log columns."""
+    0.72 -> 0.72 MiB, against 1.09 -> 1.06 MiB with the last block's rows
+    held while the next was parsed, and 1.42 -> 1.92 (in cycle order) and
+    1.41 -> 2.53 MiB (reversed) with whole-log columns."""
     (short_peak, short_kept), (long_peak, long_kept) = (
         ingest_peak(tmp_path, n_cycles, order) for n_cycles in (100, 200))
     assert long_kept > 1.9 * short_kept

@@ -25,6 +25,7 @@ from testprio.errors import (
 from testprio.history import (
     NEVER_RAN,
     ExecutionRecord,
+    NameView,
     build_status_matrix,
     emit_csv,
     ingest_csv,
@@ -213,6 +214,26 @@ def test_simulating_sampling_and_the_row_walk_build_no_execution_records(
     assert [n for c in walked for n in c.names] == [
         'T"1' if n == "T1" else n for c in cycles for n in c.names]
     assert records_built == [], "the row walk"
+
+
+def test_simulated_sampled_and_walked_logs_hold_each_name_once(tmp_path):
+    """The simulator, sample_rows and the row-by-row ingest walk hand every
+    cycle a NameView over one table of names per log, as the bulk ingest
+    does, so a log holds one name object per test, not one per row."""
+    cycles = generate_history(TINY, seed=3)
+    sampled = simulate.sample_rows(cycles, 0.5, seed=1)
+    path = tmp_path / "log.csv"
+    emit_csv(cycles, path)
+    path.write_text(path.read_text().replace(",T1,", ',T"1,'), newline="")  # takes the row walk
+    walked = ingest_csv(path)
+    for log in (cycles, sampled, walked):
+        assert all(isinstance(c.names, NameView) for c in log)
+        assert len({id(c.names.table) for c in log}) == 1
+        names = [n for c in log for n in c.names]
+        assert len(names) == simulate.row_count(log)
+        assert len({id(n) for n in names}) == len(set(names))
+    assert [(t, n) for c in sampled for t, n in zip(c.test_ids, c.names)] == [
+        (t, f"T{t}") for c in sampled for t in c.test_ids]
 
 
 class TestRunPipeline:
