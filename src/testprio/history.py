@@ -11,7 +11,8 @@ its own, so dropping a cycle frees its rows. Names are held once per test,
 not once per row: the cycles of one log share a dict of one name per test
 id, the first name read for it, and a cycle's ``names`` is a ``NameView``
 that reads each row's name there by its id. Only a cycle in which some
-row's name differs from that first name holds a tuple of its rows' names.
+row's name differs from that first name holds a tuple of its rows' names,
+in which a row that keeps the first name holds that name's one object.
 Every path that makes a cycle, ingest, the simulator and tests alike, hands
 ``CycleLog`` its columns, and ingest and the simulator hand it a
 ``NameView``. ``ExecutionRecord`` objects, with datetimes, are built only
@@ -27,6 +28,11 @@ then appended to its cycle, in file order. Every cycle's id tuple holds the
 one int object of each distinct id: a block looks its ids up in the sorted
 ids read before, and checks its names against theirs, with array
 operations; only rows of ids not yet sorted in are looked at one by one.
+The rows read carry no names. A row whose name differs from the first one
+read for its id goes into one table for the whole ingest, cycle id ->
+{test id: name}, which names it when its cycle is built, in order or late.
+A block's LastRun stamps are parsed by numpy when all are of the plain
+form, and by ``datetime.fromisoformat`` one at a time otherwise.
 Whatever that reader might read differently from ``csv`` (stray
 quotes, NUL characters, bare CR line ends, ``1_000``, non-ASCII digits), and
 every invalid log, goes to a row-by-row ``csv.DictReader`` walk, which
@@ -271,24 +277,6 @@ def _parse_stamps(texts: Sequence[str]) -> np.ndarray:
     raise ValueError("a LastRun stamp numpy may misread")
 
 
-def _parse_offset_stamps(texts: Sequence[str]) -> np.ndarray:
-    """Epoch microseconds of LastRun fields that all end in a UTC offset
-    ``±HH:MM`` (hours below 24, minutes below 60) after a date and time:
-    _parse_stamps' wall-clock time less the offset. Raises ValueError for any
-    other field; fromisoformat reads a date followed by "+01:00" as 01:00."""
-    walls = [text[:-6] for text in texts]
-    tails = np.array([text[-6:] for text in texts], dtype="U6").view(np.uint32).reshape(-1, 6)
-    sign, colon = tails[:, 0], tails[:, 3]
-    digits = tails[:, [1, 2, 4, 5]] - ord("0")  # a code below "0" wraps above 9
-    hours, minutes = digits[:, 0] * 10 + digits[:, 1], digits[:, 2] * 10 + digits[:, 3]
-    if (min(map(len, walls)) < 16 or (digits > 9).any() or (colon != ord(":")).any()
-            or not np.isin(sign, (ord("+"), ord("-"))).all()
-            or (hours > 23).any() or (minutes > 59).any()):
-        raise ValueError("a LastRun stamp without a ±HH:MM offset after its time")
-    offset_us = (hours * 60 + minutes) * np.where(sign == ord("-"), -60_000_000, 60_000_000)
-    return _parse_stamps(walls) - offset_us
-
-
 def csv_rows(reader: Iterable, start: int = 1) -> Iterator[tuple[int, list | dict]]:
     """Each row of a csv reader with its row number, counting from ``start``
     (the header is row 1). A csv.Error, such as a field longer than
@@ -395,12 +383,9 @@ def _block_stamps(texts: np.ndarray, offsets: set) -> np.ndarray | list[int]:
     try:
         stamps, aware = _parse_stamps(texts), {False}
     except ValueError:
-        try:
-            stamps, aware = _parse_offset_stamps(texts), {True}
-        except ValueError:
-            parsed = list(map(parse_timestamp, texts))
-            aware = {ts.utcoffset() is not None for ts in parsed}
-            stamps = list(map(to_epoch_us, parsed))
+        parsed = list(map(parse_timestamp, texts))
+        aware = {ts.utcoffset() is not None for ts in parsed}
+        stamps = list(map(to_epoch_us, parsed))
     offsets.update(aware)
     if len(offsets) > 1:
         raise ValueError("LastRun stamps with and without a UTC offset")
@@ -417,8 +402,9 @@ def _ingest_columns(fh, header: list[str]) -> list[CycleLog] | None:
     came in, and become a CycleLog once a row of another cycle follows. A
     row whose cycle is built already is late: each block's late rows are
     copied out, and once the file is read they are appended to their cycles
-    in file order. A row's name is kept only where it differs from the
-    first name read for its id; every other row is named through ``table``."""
+    in file order. No piece or late row holds a name: ``table`` holds the
+    first name read for each id, and ``renamed`` the name of each row that
+    differs from it, by cycle and id, until this returns."""
     # csv.DictReader maps a duplicated header name to its last column.
     where = {name: i for i, name in enumerate(header)}
     usecols = [where[f] for f in COLUMNS]
@@ -427,39 +413,33 @@ def _ingest_columns(fh, header: list[str]) -> list[CycleLog] | None:
                       ("cycle", np.int64)])
     known = _Known()
     table = known.table  # each distinct id's one int object -> the first name read for it
+    renamed: dict[int, dict] = {}  # cycle id -> {test id: the name of its row there}
     cycles: dict[int, CycleLog] = {}
     current, pieces = None, []  # the cycle the reader is in and its rows read so far
     late = [[] for _ in range(5)]  # the late rows' cycle ids, then their columns, by block
-    late_names = {}  # the index among late rows -> the name of a late row renamed
-    n_late, offsets = 0, set()
+    offsets = set()
     for text in _blocks(fh, INGEST_BLOCK_CHARS):
         if not text.strip("\r\n"):
             continue  # blank lines only, which csv.DictReader skips too
-        block = _read_block(text, dtype, usecols, known, offsets)
+        block = _read_block(text, dtype, usecols, known, renamed, offsets)
         if block is None:
             return None
-        cycle, ids, renamed, names, columns = block
+        cycle, ids, columns = block
         id_list, is_late = ids.tolist(), np.zeros(len(cycle), dtype=bool)
         for cid, lo, hi in _runs(cycle):
             if cid != current:
                 if pieces:
-                    cycles[current] = _cycle_log(current, pieces, table)
+                    cycles[current] = _cycle_log(current, pieces, table, renamed)
                 current, pieces = (None, None) if cid in cycles else (cid, [])
             if pieces is None:
                 is_late[lo:hi] = True
             else:
-                own = renamed is not None and renamed[lo:hi].any()
-                pieces.append([id_list[lo:hi], names[lo:hi] if own else None,
-                               *(c[lo:hi] for c in columns)])
+                pieces.append([id_list[lo:hi], *(c[lo:hi] for c in columns)])
         if is_late.any():
             for kept, column in zip(late, (cycle, ids, *columns)):
                 kept.append(column[is_late])
-            if renamed is not None:
-                late_names.update((n_late + k, names[i]) for k, i in
-                                  enumerate(np.flatnonzero(is_late).tolist()) if renamed[i])
-            n_late += len(late[0][-1])
     if pieces:
-        cycles[current] = _cycle_log(current, pieces, table)
+        cycles[current] = _cycle_log(current, pieces, table, renamed)
     if late[0]:
         for k, kept in enumerate(late):
             late[k] = np.concatenate(kept)  # one column's blocks at a time
@@ -467,23 +447,18 @@ def _ingest_columns(fh, header: list[str]) -> list[CycleLog] | None:
         order = np.argsort(cycle, kind="stable")  # file order inside each cycle
         for cid, lo, hi in _runs(cycle[order]):
             log, at = cycles[cid], order[lo:hi]
-            id_list, names = ids[at].tolist(), None
-            if late_names and not late_names.keys().isdisjoint(at.tolist()):
-                names = [late_names[i] if i in late_names else table[t]
-                         for i, t in zip(at.tolist(), id_list)]
             cycles[cid] = _cycle_log(cid, [
-                [log.test_ids, None if isinstance(log.names, NameView) else log.names,
-                 log.failed, log.duration_s, log.last_run],
-                [id_list, names, *(c[at] for c in columns)]], table)
+                [log.test_ids, log.failed, log.duration_s, log.last_run],
+                [ids[at].tolist(), *(c[at] for c in columns)]], table, renamed)
     return [cycles[cid] for cid in sorted(cycles)]
 
 
 def _read_block(text: str, dtype: np.dtype, usecols: list[int], known: "_Known",
-                offsets: set) -> tuple | None:
-    """One block's rows as cycle ids, shared id objects, whether each row's
-    name differs from its id's (None if no row's does), every row's name,
-    interned, if some row's does (else None), and the failed, duration and
-    last-run columns. None, or ValueError or OverflowError, if some row is
+                renamed: dict, offsets: set) -> tuple | None:
+    """One block's rows as cycle ids, shared id objects, and the failed,
+    duration and last-run columns. A row whose name differs from the first
+    name read for its id is entered, interned, in ``renamed``: cycle id ->
+    {test id: name}. None, or ValueError or OverflowError, if some row is
     not valid or csv may read the block otherwise. Nothing returned refers
     to loadtxt's rows, which hold every Name and LastRun object."""
     if "\0" in text or len(text) > csv.field_size_limit() or _stray_quote(text):
@@ -497,15 +472,13 @@ def _read_block(text: str, dtype: np.dtype, usecols: list[int], known: "_Known",
     failed = verdicts == "1"
     if not (failed | (verdicts == "0")).all():
         return None
-    names = rows["name"]
-    ids, renamed = known.share(rows["id"], names)
-    if renamed.any():
-        names = list(map(sys.intern, names))
-    else:
-        renamed = names = None
+    cycle, names = rows["cycle"].copy(), rows["name"]
+    ids, differs = known.share(rows["id"], names)
+    at = np.flatnonzero(differs)
+    for cid, tid, name in zip(cycle[at].tolist(), ids[at].tolist(), names[at].tolist()):
+        renamed.setdefault(cid, {})[tid] = sys.intern(name)
     stamps = np.asarray(_block_stamps(rows["last_run"], offsets), dtype=np.int64)
-    return (rows["cycle"].copy(), ids, renamed, names,
-            (failed, rows["duration"].copy(), stamps))
+    return cycle, ids, (failed, rows["duration"].copy(), stamps)
 
 
 class _Known:
@@ -558,18 +531,16 @@ def _runs(cycle: np.ndarray) -> Iterator[tuple[int, int, int]]:
     return zip(cycle[bounds[:-1]].tolist(), bounds, bounds[1:])
 
 
-def _cycle_log(cycle_id: int, pieces: list[list], table: dict) -> CycleLog:
+def _cycle_log(cycle_id: int, pieces: list[list], table: dict, renamed: dict) -> CycleLog:
     """The CycleLog of one cycle's rows, given as column pieces in file order;
-    its arrays are copies that it alone holds. A piece's names are None
-    where ``table`` names its rows; the cycle's names are a NameView unless
-    some piece holds names of its own."""
-    ids, names, *arrays = zip(*pieces)
+    its arrays are copies that it alone holds. Its names are a NameView over
+    ``table`` unless ``renamed`` holds names of this cycle's rows: then a
+    tuple that takes those names there and ``table``'s elsewhere."""
+    ids, *arrays = zip(*pieces)
     test_ids = tuple(chain.from_iterable(ids))
-    if any(n is not None for n in names):
-        names = tuple(chain.from_iterable(map(table.__getitem__, i) if n is None else n
-                                          for i, n in zip(ids, names)))
-    else:
-        names = NameView(table, test_ids)
+    own = renamed.get(cycle_id)
+    names = (NameView(table, test_ids) if own is None
+             else tuple(map(own.get, test_ids, map(table.__getitem__, test_ids))))
     return CycleLog(cycle_id, test_ids, names, *map(np.concatenate, arrays))
 
 

@@ -53,6 +53,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
@@ -597,7 +598,7 @@ def load_model(path: str | Path) -> SavedModel:
         rng_seed = None if seed_tok == "none" else int(seed_tok)
         scheme = _expect(next_line(), "scheme", None)
         dims = tuple(int(d) for d in _expect(next_line(), "dims", None).split())
-        dmin, dmax = (float(t) for t in _expect(next_line(), "duration_bounds", 2))
+        dmin, dmax = _floats(_expect(next_line(), "duration_bounds", None), 2)
         lr_lo, lr_hi = _expect(next_line(), "lastrun_bounds", 2)
         bounds = FeatureBounds(dmin, dmax, _parse_ts(lr_lo), _parse_ts(lr_hi))
         weights, biases = [], []
@@ -631,9 +632,12 @@ def _expect(line: str, prefix: str, n_tokens: int | None):
 
 
 def _floats(line: str, n: int) -> list[float]:
+    """The ``n`` numbers of a line. save_model writes only finite ones."""
     values = [float(t) for t in line.split()]
     if len(values) != n:
         raise CorruptModel(f"expected {n} numbers per row, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise CorruptModel(f"a number that is not finite in {line.strip()!r}")
     return values
 
 

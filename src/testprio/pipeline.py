@@ -10,14 +10,15 @@ state too, and the replay goes on from it.
 
 The training set holds one vector per pre-cut execution, as
 ``CompactFeatures``: 28 bytes per vector at window 10, where a float64
-matrix takes 112. Only a run that rebalances builds the dense matrix,
-since the rebalancer's synthetic rows are not integers.
+matrix takes 112. Only a run that rebalances builds the dense matrix:
+``augment`` takes and returns a ``FeatureSet``, whose ``X`` is dense.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -204,8 +205,8 @@ def train_model(cycles: Sequence[CycleLog], plan: ExperimentPlan
     Also returns the replay state folded through the last of ``cycles``.
 
     The network trains on the compact vectors, unless augmentation runs:
-    its synthetic rows are not integers, so that path frees the compact
-    blocks once it has built the dense matrix it rebalances.
+    ``augment`` takes and returns a dense ``FeatureSet``, so that path frees
+    the compact blocks once it has built the dense matrix it rebalances.
     """
     scheme = weight_scheme(plan.weights, plan.window_len)
     as_of = cycles[-1].cycle_id
@@ -665,8 +666,9 @@ class GroundTruthReport:
 
 def _read_priorities(path: str | Path) -> dict:
     """Each test's ``CalcPrio`` from the latest cycle whose row sets one. Empty
-    cells are skipped; a value float() rejects raises MalformedRow. The log's
-    other fields are ingest_csv's to check, before this runs."""
+    cells are skipped; a value float() rejects, or a non-finite one, raises
+    MalformedRow. The log's other fields are ingest_csv's to check, before
+    this runs."""
     latest: dict = {}  # test id -> (cycle id, priority)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -684,6 +686,8 @@ def _read_priorities(path: str | Path) -> dict:
                 prio = float(raw)
             except ValueError:
                 raise MalformedRow(rownum, f"bad priority {raw!r}") from None
+            if not math.isfinite(prio):
+                raise MalformedRow(rownum, f"priority must be finite, got {raw!r}")
             test_id, cycle_id = int(row[at_id]), int(row[at_cycle])
             if cycle_id > latest.get(test_id, (0,))[0]:
                 latest[test_id] = (cycle_id, prio)

@@ -411,6 +411,19 @@ class TestAugment:
         assert ((0.0 < synthetic.labels) & (synthetic.labels < 1.0)).all()
         assert (synthetic.X[:, 9] == 1).all()  # discrete slots come from fail-bin parents
 
+    def test_synthetic_rows_copy_the_integer_features_of_a_fail_bin_row(self):
+        """Only duration, last run and label are interpolated or jittered: a
+        synthetic row's statuses, swing and flip count are those of one of
+        its fail-bin parents."""
+        vectors = population(10, 500, random.Random(7))
+        data = as_set(vectors)
+        out = augment(data, AugmentConfig(target_fail_ratio=0.25, rng_seed=3))
+        integer = np.r_[0:10, 12:14]  # the statuses, then swing and flip count
+        parents = {tuple(x) for x in split_bins(data)[0].X[:, integer].tolist()}
+        synthetic = out.X[len(vectors):, integer].tolist()
+        assert len(synthetic) > 100 and len(parents) > 1
+        assert all(tuple(x) in parents for x in synthetic)
+
     def test_non_finite_input_rejected_naming_the_row(self):
         data = as_set(population(10, 50, random.Random(8)))
         bad_x, bad_label = data.X.copy(), data.labels.copy()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -249,6 +250,20 @@ def test_unreadable_input_exits_2(dataset, tmp_path, capsys, argv, text, message
     assert not out.exists()
 
 
+def test_prioritize_with_a_model_holding_nan_exits_2(dataset, trained_model, tmp_path,
+                                                     capsys):
+    lines = trained_model.read_text().splitlines()
+    at = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("layer 0 weights"))
+    lines[at] = " ".join(["nan", *lines[at].split()[1:]])
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["prioritize", str(dataset), "--model", str(model),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_model_accuracy(dataset, trained_model, capsys):
     assert main(["evaluate", str(dataset), "--model", str(trained_model)]) == 0
     assert "r_squared" in capsys.readouterr().out
@@ -294,6 +309,20 @@ def test_evaluate_ground_truth_bad_priority_exits_2(tmp_path, capsys):
     assert main(["evaluate", str(path), "--ground-truth"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: row ") and err.endswith(": bad priority 'n/a'\n")
+
+
+def test_evaluate_ground_truth_non_finite_priority_exits_2(tmp_path, capsys):
+    """A nan and an inf CalcPrio in the latest cycle are bad rows, not a
+    report of nan differences."""
+    cycles = generate_history(replace(PAINT_CONTROL_LIKE, n_cycles=30), seed=1)
+    last = cycles[-1]
+    odd = {last.test_ids[0]: "nan", last.test_ids[1]: "inf"}
+    path = emit_with_calc_prio(cycles, tmp_path / "prio.csv",
+                               lambda cycle_id, test_id: odd.get(test_id, "0.5")
+                               if cycle_id == last.cycle_id else "0.5")
+    assert main(["evaluate", str(path), "--ground-truth"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row ") and err.endswith(": priority must be finite, got 'nan'\n")
 
 
 def test_replay_end_to_end(dataset, fast_config, tmp_path, capsys):

@@ -29,7 +29,6 @@ from testprio.history import (
     NameView,
     ReplayState,
     StatusMatrix,
-    _parse_offset_stamps,
     _parse_row,
     _parse_stamps,
     build_status_matrix,
@@ -368,6 +367,27 @@ def test_renamed_tests_keep_the_name_of_every_row(tmp_path, monkeypatch, block_c
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block_chars", [1, 40, 1 << 16])
+def test_a_renamed_cycle_shares_the_logs_name_objects_for_its_other_rows(
+        tmp_path, monkeypatch, block_chars):
+    """Every row that keeps the first name read for its id holds the one
+    object of that name, also in a cycle that holds a tuple of names
+    because another of its rows is renamed."""
+    log = write(tmp_path, "".join(f"{t},{n},1.5,2016-01-0{c} 10:00:00,{t % 2},{c}\n"
+                                  for t, n, c in RENAMES))
+    monkeypatch.setattr(history, "INGEST_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(history, "_ingest_rows", None)
+    cycles = ingest_csv(log)
+    assert [type(c.names) for c in cycles] == [tuple, tuple, NameView]
+    first = {}
+    for t, n, _ in RENAMES:
+        first.setdefault(t, n)
+    kept = [(t, n) for c in cycles for t, n in zip(c.test_ids, c.names) if n == first[t]]
+    assert len(kept) == 11
+    for t in first:
+        assert len({id(n) for u, n in kept if u == t}) == 1, t
+
+
 def test_ids_new_in_block_after_block_are_shared_and_sorted_a_few_times(tmp_path, monkeypatch):
     """3,000 ids, new in every block of about five rows and read again in a
     second cycle: each keeps one int object and one name, and the ids read
@@ -704,36 +724,6 @@ def test_a_log_whose_stamps_all_carry_offsets_is_read_in_bulk(tmp_path, monkeypa
     expected = outcome(dictreader_ingest, path)
     monkeypatch.setattr(history, "_ingest_rows", None)  # the row path is not taken
     assert outcome(ingest_csv, path) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(stamp_texts(offsets="all"), min_size=1, max_size=20),
-       st.lists(st.tuples(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)),
-                          st.sampled_from([s for s in STAMP_SHAPES if s != "date"]), ZONES),
-                max_size=20))
-def test_a_block_of_offset_stamps_is_parsed_in_bulk_as_fromisoformat_parses_it(aware, shaped):
-    """Every stamp a ±HH:MM offset after a date and time, of any shape the
-    bulk path reads: numpy's wall-clock time less the offset, in epoch
-    microseconds, is fromisoformat's UTC time."""
-    texts = aware + [stamp_text(ts, shape) + ts.replace(tzinfo=zone).isoformat()[-6:]
-                     for ts, shape, zone in shaped]
-    expected = [to_epoch_us(datetime.fromisoformat(t)) for t in texts]
-    offsets = set()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(history, "parse_timestamp", None)  # one stamp at a time is not taken
-        assert list(history._block_stamps(np.array(texts, dtype=object), offsets)) == expected
-    assert offsets == {True}
-
-
-@pytest.mark.parametrize("text", [
-    "2016-01-05 10:00:00Z", "2016-01-05 10:00:00+01:00:30", " 2016-01-05 10:00:00+01:00",
-    "2016-01-05 10:00:00 +01:00",
-    "2016-01-05+01:00",  # fromisoformat reads the naive time 01:00
-    "2016-01-05 10:00:00+00:99",  # fromisoformat reads +01:39
-])
-def test_other_offset_forms_are_left_to_fromisoformat(text):
-    with pytest.raises(ValueError):
-        _parse_offset_stamps(["2016-01-04 10:00:00+01:00", text])
 
 
 def test_offset_stamps_give_the_features_of_their_utc_times(tmp_path):

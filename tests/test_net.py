@@ -551,6 +551,26 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("prefix, below, token", [
+        ("layer 0 weights", 1, 1), ("layer 0 biases", 1, 2), ("duration_bounds", 0, 2)],
+        ids=["weight", "bias", "duration-bound"])
+    def test_a_number_that_is_not_finite_is_corrupt(self, tmp_path, prefix, below, token,
+                                                    value):
+        """save_model writes only finite numbers, so a file with another in a
+        weight, a bias or a duration bound is corrupt. ``token`` of the line
+        ``below`` lines under the one starting with ``prefix`` is replaced."""
+        path = tmp_path / "model.txt"
+        save_model(SavedModel(xavier_init((4, 3, 1), np.random.default_rng(0)), BOUNDS), path)
+        lines = path.read_text().splitlines()
+        at = below + next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        tokens = lines[at].split()
+        tokens[token] = value
+        lines[at] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptModel, match="not finite"):
+            load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         net = xavier_init((4, 3, 1), np.random.default_rng(0))
         path = tmp_path / "model.txt"

@@ -414,11 +414,15 @@ class TestGroundTruthComparison:
     @pytest.mark.parametrize("body, error, message", [
         ("1,T1,1.0,2016-01-02,0,1,0.5\n2,T2,1.0,2016-01-02,0,1, high \n",
          MalformedRow, "row 3: bad priority 'high'"),
+        ("1,T1,1.0,2016-01-02,0,1, nan\n2,T2,1.0,2016-01-02,0,1,0.5\n",
+         MalformedRow, "row 2: priority must be finite, got 'nan'"),
+        ("1,T1,1.0,2016-01-02,0,1,0.5\n2,T2,1.0,2016-01-02,0,1,-inf\n",
+         MalformedRow, "row 3: priority must be finite, got '-inf'"),
         # The log is checked before its priorities: the bad duration on row 3
         # is reported, not the bad priority on row 2.
         ("1,T1,1.0,2016-01-02,0,1,high\n2,T2,-1.0,2016-01-02,0,1,0.5\n",
          NegativeDuration, "row 3: duration must be >= 0"),
-    ], ids=["bad-priority", "log-error-first"])
+    ], ids=["bad-priority", "nan", "inf", "log-error-first"])
     def test_bad_priority_names_its_row(self, tmp_path, body, error, message):
         log = tmp_path / "prio.csv"
         log.write_text(HEADER.replace("\n", ",CalcPrio\n") + body, encoding="utf-8")
