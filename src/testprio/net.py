@@ -21,29 +21,37 @@ time.
 
 Training minimizes mean-squared error with Adam in shuffled mini-batches
 of ``TrainConfig.batch_size`` rows (default 128); a batch size of n or
-more takes the whole set as one batch. The training set is a dense (n, d)
-float64 matrix or ``features.CompactFeatures``, which holds the integer
-features in one small-integer block and the two real ones in a float64
-block (28 bytes per 14-input vector instead of 112); both train to the
-same bits, because every input block the network sees is float64 either
-way. ``train`` allocates the buffers of one step once, sized for one
-batch (and once more for the last, shorter batch of an epoch, if there is
-one): the layer inputs, and each layer's z and delta and each hidden
-layer's exp(min(z, 20)), tanh(softplus(z)) and scratch for the backward
-pass. Each of those five kinds is one stacked array whose row blocks are
-the layers, so the backward takes every hidden layer's Mish derivative in
-one pass; the layer views and transposed weight blocks are bound once per
-workspace. The shuffled rows of up to ``FORWARD_BLOCK_ROWS // batch``
-whole batches are gathered at once into one (batches, d + 1, batch)
-buffer, which costs a few numpy calls per gather instead of a few per
-step, and each step binds its batch's contiguous block as the first layer
-input. Adam's two moments are the rows of one (2, P) array, decayed by one
-product and fed by one sum. The epoch loss is taken on the whole training
-set at the top of every epoch, before that epoch's updates, by the
-blocked forward pass that ``predict`` runs, each block's input filled
-from the training set: the residual is formed in its output vector, and
-training stops early once the loss drops below a configurable floor.
-``predict`` runs the layer chain without a cache, over blocks of
+more takes the whole set as one batch. The training set is a dense
+(n, d) float64 matrix or ``features.CompactFeatures``, which holds the
+integer features in one small-integer block and the two real ones in a
+float64 block (28 bytes per 14-input vector instead of 112); both train
+to the same bits, because every input block the network sees holds the
+same values either way. ``train`` allocates the buffers of one step
+once, sized for one batch (and once more for the last, shorter batch of
+an epoch, if there is one): the layer inputs, and each layer's z and
+delta and each hidden layer's exp(min(z, 20)), tanh(softplus(z)) and
+scratch for the backward pass. Each of those five kinds is one stacked
+array whose row blocks are the layers, so the backward takes every
+hidden layer's Mish derivative in one pass; the layer views and
+transposed weight blocks are bound once per workspace. The shuffled rows
+of up to ``FORWARD_BLOCK_ROWS // batch`` whole batches are gathered at
+once into one (batches, d + 1, batch) buffer, which costs a few numpy
+calls per gather instead of a few per step, and each step binds its
+batch's contiguous block as the first layer input. Adam's two moments
+are the rows of one (2, P) array, decayed by one product and fed by one
+sum. The epoch loss is taken on the whole training set at the top of
+every epoch, before that epoch's updates, by the blocked forward pass
+that ``predict`` runs, but in float32: each block's input is filled from
+the training set, the layer blocks are cast once per pass, and the
+float32 predictions land in a float64 output vector, where the residual
+and its mean square are formed in float64. Training stops early once
+that loss drops below a configurable floor. Nothing else reads the loss,
+and no update or ``predict`` runs in float32, so the weights and the
+stop epoch are those of a float64 loss unless a loss lands within
+float32 rounding of the floor; ``epoch_mse`` differs from the float64
+loss in its 7th-9th significant digit, and a loss pass whose outputs
+overflow float32 (about 3.4e38) raises ``NonFiniteLoss``. ``predict``
+runs the layer chain in float64 without a cache, over blocks of
 ``FORWARD_BLOCK_ROWS`` rows into one output vector, so its memory is a
 few block-sized buffers beyond that vector, whatever the row count.
 
@@ -69,7 +77,7 @@ from .errors import (
     NonFiniteLoss,
     SchemaVersionMismatch,
 )
-from .features import CompactFeatures, FeatureBounds
+from .features import DERIVED_FEATURES, CompactFeatures, FeatureBounds
 
 MODEL_MAGIC = "tpmodel"
 MODEL_VERSION = "1"
@@ -77,8 +85,9 @@ MODEL_VERSION = "1"
 
 # --- activation -----------------------------------------------------------
 
-# At z >= 20, n / (n + 2) is already 1.0 in float64; clipping there keeps
-# exp from overflowing into inf / inf.
+# At z >= 20, n / (n + 2) is already 1.0 in float64 and in float32. Clipping
+# there keeps exp from overflowing into inf / inf, and keeps the float32
+# loss pass finite: n is then about 2.4e17, far below float32's 3.4e38.
 _EXP_CLIP = 20.0
 
 
@@ -222,9 +231,9 @@ def _as_rows(net: Network, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def _with_ones(width: int, cols: int) -> np.ndarray:
+def _with_ones(width: int, cols: int, dtype=np.float64) -> np.ndarray:
     """An uninitialized (width + 1, cols) array whose last row is ones."""
-    a = np.empty((width + 1, cols))
+    a = np.empty((width + 1, cols), dtype)
     a[width] = 1.0
     return a
 
@@ -321,21 +330,24 @@ def _fill_dense(X: np.ndarray, rows, out: np.ndarray) -> None:
     out[...] = X[rows].swapaxes(-1, -2)
 
 
-def _predict_rows(net: Network, n: int, fill) -> np.ndarray:
+def _predict_rows(net: Network, n: int, fill, dtype=np.float64) -> np.ndarray:
     """Predictions for n rows, one block of rows at a time, without a
     cache: ``fill(rows, out)`` writes a slice of rows feature-major into a
     block's input, and each layer's buffers are dropped once the next
-    layer's input is built."""
+    layer's input is built. The layer blocks are cast to ``dtype`` once
+    per call and every block runs in it; the predictions are written into
+    a float64 vector whatever the dtype."""
     out = np.empty(n)
+    blocks = [block.astype(dtype, copy=False) for block in net.blocks]
     for start in range(0, n, FORWARD_BLOCK_ROWS):
         stop = min(start + FORWARD_BLOCK_ROWS, n)
-        a = _with_ones(net.input_dim, stop - start)
+        a = _with_ones(net.input_dim, stop - start, dtype)
         fill(slice(start, stop), a[:-1])
-        for block in net.blocks[:-1]:
+        for block in blocks[:-1]:
             z = block.T @ a
-            a = _with_ones(*z.shape)
+            a = _with_ones(*z.shape, dtype)
             np.multiply(z, _tanh_softplus(z), out=a[:-1])
-        out[start:stop] = (net.blocks[-1].T @ a)[0]
+        out[start:stop] = (blocks[-1].T @ a)[0]
     return out
 
 
@@ -452,10 +464,12 @@ def train(net: Network, X: np.ndarray | CompactFeatures, y: np.ndarray,
     ``X`` is a dense (n, d) matrix or the same vectors as CompactFeatures;
     both train to the same bits. The loss is evaluated on the whole
     training set at the top of every epoch, so the recorded ``epoch_mse``
-    sequence is comparable across batch sizes. Raises ValueError, before
-    any update, on a non-finite feature or a label outside [0, 1], and
-    NonFiniteLoss (with diagnostics) the moment the loss stops being a
-    number.
+    sequence is comparable across batch sizes. Its forward pass runs in
+    float32 (the residual and its mean square in float64); every update
+    is float64. Raises ValueError, before any update, on a non-finite
+    feature or a label outside [0, 1], and NonFiniteLoss (with
+    diagnostics) the moment the loss stops being a number, which includes
+    a loss pass whose outputs overflow float32.
     """
     if isinstance(X, CompactFeatures):
         real, fill = X.real, X.fill  # only the float block can hold a non-finite value
@@ -504,7 +518,8 @@ def train(net: Network, X: np.ndarray | CompactFeatures, y: np.ndarray,
     # overflow chatter that precedes it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs_max + 1):
-            residual = _predict_rows(net, n, fill)  # mse(predict(net, X), y) in place
+            # mse(predict(net, X), y) in place, the forward in float32
+            residual = _predict_rows(net, n, fill, np.float32)
             residual -= y
             loss = float(residual @ residual / n)
             del residual
@@ -543,7 +558,7 @@ class SavedModel:
 
     @property
     def window_len(self) -> int:
-        return self.net.input_dim - 4
+        return self.net.input_dim - DERIVED_FEATURES
 
 
 def _fmt(x: float) -> str:
@@ -616,6 +631,13 @@ def load_model(path: str | Path) -> SavedModel:
             raise CorruptModel("missing end marker")
     except (ValueError, IndexError) as exc:
         raise CorruptModel(f"malformed model file: {exc}") from None
+    if not (len(dims) >= 2 and min(dims) >= 1 and dims[0] > DERIVED_FEATURES
+            and dims[-1] == 1):
+        raise CorruptModel(
+            f"dims {' '.join(map(str, dims))} build no usable network: it needs an "
+            f"input width of at least {DERIVED_FEATURES + 1} (a window of at least 1 "
+            f"plus {DERIVED_FEATURES} derived features), hidden widths of at least 1 "
+            "and one output")
     return SavedModel(Network(dims, weights, biases), bounds, scheme, rng_seed)
 
 

@@ -397,6 +397,8 @@ def run_pipeline(plan: ExperimentPlan) -> PipelineResult:
         raise InputError("no strategies selected")
     if plan.window_len < 1:
         raise InputError(f"window length must be >= 1, got {plan.window_len}")
+    if not 0 < plan.cut_fraction <= 1:
+        raise InputError(f"cut fraction must lie in (0, 1], got {plan.cut_fraction}")
     if not 0 <= plan.budget_fraction < np.inf:
         raise InputError(f"budget fraction must be a finite number >= 0, "
                          f"got {plan.budget_fraction}")

@@ -38,6 +38,18 @@ def emit_with_calc_prio(cycles, path, cell):
     return path
 
 
+def write_model_with_dims(path, dims):
+    """A model file whose ``dims`` line reads ``dims`` and whose layers match
+    it, every weight and bias zero."""
+    lines = ["tpmodel 1", "seed none", "scheme linear", "dims " + " ".join(map(str, dims)),
+             "duration_bounds 0.5 12", "lastrun_bounds none none"]
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+        zeros = " ".join(["0"] * dout)
+        lines += [f"layer {i} weights {din} {dout}", *[zeros] * din,
+                  f"layer {i} biases {dout}", zeros]
+    path.write_text("\n".join([*lines, "end"]) + "\n", encoding="utf-8")
+
+
 def traced_peak(fn, *args):
     """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs,
     and the bytes still allocated once it has returned: what its result

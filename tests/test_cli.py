@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from testprio.history import emit_csv, ingest_csv
 from testprio.net import load_model
 from testprio.simulate import PAINT_CONTROL_LIKE, SuiteProfile, generate_history
 
-from conftest import emit_with_calc_prio
+from conftest import emit_with_calc_prio, write_model_with_dims
 
 SMALL = SuiteProfile(
     name="small", n_tests=12, n_cycles=30, participation=0.8,
@@ -264,6 +265,34 @@ def test_prioritize_with_a_model_holding_nan_exits_2(dataset, trained_model, tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dims", ["14", "0 1", "4 1", "14 2"])
+def test_prioritize_with_a_model_whose_dims_build_no_usable_network_exits_2(
+        dataset, tmp_path, capsys, dims):
+    model = tmp_path / "model.txt"
+    write_model_with_dims(model, [int(d) for d in dims.split()])
+    assert main(["prioritize", str(dataset), "--model", str(model),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: dims {dims} build no usable network")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_prioritize_calls_leave_no_reference_cycles(dataset, trained_model, tmp_path,
+                                                             capsys):
+    """The parser is built once per process; a parser built per call leaves
+    hundreds of objects that only a full collection frees."""
+    argv = ["prioritize", str(dataset), "--model", str(trained_model),
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_evaluate_model_accuracy(dataset, trained_model, capsys):
     assert main(["evaluate", str(dataset), "--model", str(trained_model)]) == 0
     assert "r_squared" in capsys.readouterr().out
@@ -367,6 +396,17 @@ def test_replay_rejects_a_budget_fraction_that_is_not_finite_and_non_negative(
     assert main(["replay", str(dataset), "--budget-fraction", fraction,
                  "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: budget fraction must be")
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "1.5"])
+def test_replay_rejects_a_cut_fraction_outside_0_to_1(dataset, tmp_path, capsys, fraction):
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(f"replay.cut_fraction = {fraction}\n")
+    assert main(["replay", str(dataset), "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cut fraction must lie in (0, 1], got {float(fraction)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, config", [

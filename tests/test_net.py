@@ -38,7 +38,7 @@ from testprio.net import (
 
 from datetime import datetime
 
-from conftest import traced_peak
+from conftest import traced_peak, write_model_with_dims
 from test_history import random_cycles
 
 # Tests that span several forward blocks allocate 2 * FORWARD_BLOCK_ROWS rows
@@ -393,6 +393,14 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss, match=r"epoch 1: .*max \|param\| = 1e\+300"):
             train(net, np.ones((4, 2)), np.full(4, 0.5), TrainConfig(batch_size=batch_size))
 
+    def test_a_loss_pass_that_overflows_float32_aborts(self):
+        """1e39 is a float64 but past float32's largest, 3.4e38, so the
+        float32 loss pass overflows before any update."""
+        net = xavier_init((2, 3, 1), np.random.default_rng(0))
+        net.biases[-1][0] = 1e39
+        with pytest.raises(NonFiniteLoss, match=r"epoch 1: loss=inf"):
+            train(net, np.ones((4, 2)), np.full(4, 0.5), TrainConfig(batch_size=2))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 3, 6])
     def test_non_finite_feature_is_rejected_naming_its_row(self, value, row):
@@ -586,6 +594,24 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    @pytest.mark.parametrize("dims", [(14,), (0, 1), (4, 1), (14, 2), (14, 0, 1)],
+                             ids=["one-width", "zero-input", "window-0", "two-outputs",
+                                  "zero-hidden"])
+    def test_dims_that_build_no_usable_network_are_corrupt(self, tmp_path, dims):
+        """At least an input and an output width, each at least 1, an input
+        width of at least 5 (a window of at least 1 plus the 4 derived
+        features) and one output."""
+        path = tmp_path / "model.txt"
+        write_model_with_dims(path, dims)
+        with pytest.raises(CorruptModel, match="build no usable network"):
+            load_model(path)
+
+    def test_the_smallest_usable_dims_load(self, tmp_path):
+        path = tmp_path / "model.txt"
+        write_model_with_dims(path, (5, 1))
+        model = load_model(path)
+        assert model.net.dims == (5, 1) and model.window_len == 1
+
     def test_window_len_property(self):
         net = xavier_init((14, 10, 1), np.random.default_rng(0))
         assert SavedModel(net, BOUNDS).window_len == 10
@@ -603,7 +629,7 @@ def plain_forward(weights, biases, x):
     a = x.T.copy()  # C order, as train() stores it: BLAS rounds by layout
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        a = np.vstack([a, np.ones((1, a.shape[1]))])
+        a = np.vstack([a, np.ones((1, a.shape[1]), a.dtype)])
         inputs.append(a)
         z = np.vstack([w, b]).T @ a
         if i == last:
@@ -660,12 +686,16 @@ def unfolded_backward(weights, activations, pre, labels):
     return grads_w, grads_b
 
 
+def float32(arrays):
+    return [a.astype(np.float32) for a in arrays]
+
+
 def plain_train(net, X, y, config, folded=True):
     """Adam on MSE with one update loop per parameter array, written out.
 
-    The loss is taken at the top of every epoch from a forward pass over
-    the whole set, then one shuffled pass of mini-batch updates follows.
-    ``folded=False`` runs the unfolded chain instead.
+    The loss is taken at the top of every epoch from a float32 forward
+    pass over the whole set, then one shuffled pass of mini-batch updates
+    follows. ``folded=False`` runs the unfolded chain in the updates.
     """
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
@@ -691,14 +721,14 @@ def plain_train(net, X, y, config, folded=True):
     def gradients(x, labels):
         if folded:
             preds, inputs, hidden = plain_forward(weights, biases, x)
-            return preds, lambda: plain_backward(weights, preds, inputs, hidden, labels)
+            return plain_backward(weights, preds, inputs, hidden, labels)
         preds, activations, pre = unfolded_forward(weights, biases, x)
-        return preds, lambda: unfolded_backward(weights, activations, pre, labels)
+        return unfolded_backward(weights, activations, pre, labels)
 
     rng = np.random.default_rng(config.rng_seed)
     epoch_mse = []
     for _ in range(config.epochs_max):
-        preds, _ = gradients(X, y)
+        preds = plain_forward(float32(weights), float32(biases), X.astype(np.float32))[0]
         diff = preds - y
         loss = float(diff @ diff / diff.size)
         epoch_mse.append(loss)
@@ -707,7 +737,7 @@ def plain_train(net, X, y, config, folded=True):
         order = rng.permutation(X.shape[0])
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            update(*gradients(X[idx], y[idx])[1]())
+            update(*gradients(X[idx], y[idx]))
     return weights, biases, epoch_mse
 
 
@@ -754,6 +784,25 @@ class TestBitIdentity:
         assert result.epoch_mse == epoch_mse
         assert all(np.array_equal(a, b) for a, b in zip(result.net.weights, weights))
         assert all(np.array_equal(a, b) for a, b in zip(result.net.biases, biases))
+
+    def test_the_float32_loss_is_within_float32_rounding_of_the_float64_loss(self):
+        """Only the epoch-top loss runs in float32: over three whole blocks
+        and a part one, it lies within a few float32 roundings of the
+        float64 loss, and ``predict`` still gives the float64 chain's bits."""
+        rng = np.random.default_rng(50)
+        assert FORWARD_BLOCK_ROWS <= MAX_BLOCK_ROWS
+        n = 3 * FORWARD_BLOCK_ROWS + 59
+        X, y = rng.uniform(0, 1, (n, 14)), rng.uniform(size=n)
+        net = xavier_init((14, 10, 20, 15, 1), np.random.default_rng(10))
+        preds = predict(net, X)
+        assert np.array_equal(preds, plain_forward(net.weights, net.biases, X)[0])
+        float64_loss = mse(preds, y)
+        float32_loss = train(net.copy(), X, y, TrainConfig(epochs_max=1)).epoch_mse[0]
+        assert float32_loss != float64_loss
+        # A few roundings per layer move each prediction by a few float32
+        # eps; the mean square of the residuals moves by as much. Eight
+        # seeds read 0.01-0.35 eps.
+        assert abs(float32_loss - float64_loss) <= 8 * np.finfo(np.float32).eps * float64_loss
 
     def test_backward_matches_plain_backward(self):
         rng = np.random.default_rng(46)

@@ -312,6 +312,11 @@ class TestRunPipeline:
         with pytest.raises(InputError, match=f"window length must be >= 1, got {window_len}"):
             run_pipeline(tiny_plan(tiny_cycles, window_len=window_len))
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -1.0, 0.0, 1.5])
+    def test_a_cut_fraction_outside_0_to_1_is_rejected(self, tiny_cycles, fraction):
+        with pytest.raises(InputError, match=f"cut fraction must lie in \\(0, 1\\], got {fraction}"):
+            run_pipeline(tiny_plan(tiny_cycles, cut_fraction=fraction))
+
     def test_explicit_cut_validation(self, tiny_cycles):
         with pytest.raises(InputError):
             run_pipeline(tiny_plan(tiny_cycles, cut_cycle=40))  # nothing after
